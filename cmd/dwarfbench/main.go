@@ -11,7 +11,7 @@
 //	dwarfbench -exp ingest            # live store: WAL+memtable ingest + freshness
 //	dwarfbench -exp ingest -writers 1,4,16,64   # group-commit writer ladder
 //	dwarfbench -exp compact           # segment compaction: decode+Merge vs MergeViews
-//	dwarfbench -exp http              # live TCP load: append encoders vs reflection
+//	dwarfbench -exp http              # live TCP load through the append encoders
 //	dwarfbench -exp cache             # hot-result cache + rollups vs plain fan-out
 //	dwarfbench -exp cluster           # scatter-gather over N nodes vs one store
 //	dwarfbench -exp prune             # zone-map pruning: windowed queries vs full fan-out
@@ -41,7 +41,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2, table4, table5, bao, query, storequery, parallel, serve, ingest, compact, http, cache, cluster, all")
+	exp := flag.String("exp", "all", "experiment: table2, table4, table5, bao, query, storequery, parallel, serve, ingest, compact, http, cache, prune, cluster, all")
 	presetsFlag := flag.String("presets", "Day,Week,Month", "comma-separated Table 2 datasets (Day,Week,Month,TMonth,SMonth)")
 	kindsFlag := flag.String("kinds", "", "comma-separated schema models to run (default: all four)")
 	dir := flag.String("dir", "", "working directory for store files (default: a temp dir)")

@@ -13,8 +13,9 @@
 // restarts, and replace a failed node in place (same position, recovered
 // store) rather than removing it.
 //
-// Endpoints (request/response shapes mirror dwarfd's, minus the cube
-// field — the gateway always queries the nodes' live cube):
+// The gateway is dwarfd's own query server with the cluster as its live
+// backend, so requests and responses are exactly dwarfd's; the "cube"
+// field may be omitted (the gateway serves only the cluster):
 //
 //	GET/POST /query/point    {"keys":[…]}
 //	POST     /query/range    {"selectors":[{"lo":…,"hi":…},…]}

@@ -21,10 +21,10 @@
 //
 // Failure semantics are strict by construction: a node that cannot be
 // reached within the per-node timeout and bounded retries fails the whole
-// query with an error naming the node — never a silently short merged
-// total. Callers that prefer availability opt in per request (the
-// gateway's allow_partial), and the answer is then explicitly marked with
-// the nodes it is missing.
+// query with an error naming the node (and wrapping query.ErrUnavailable)
+// — never a silently short merged total. Callers that prefer availability
+// opt in per request through AllowPartial (the gateway's allow_partial),
+// and the answer is then explicitly marked with the nodes it is missing.
 package cluster
 
 import (
@@ -172,6 +172,10 @@ type scatterError struct {
 	failed []*NodeError
 }
 
+// Is makes every scatter failure a query.ErrUnavailable, which HTTP
+// servers map to 502.
+func (e *scatterError) Is(target error) bool { return target == query.ErrUnavailable }
+
 func (e *scatterError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cluster: %d/%d nodes failed:", len(e.failed), e.total)
@@ -185,8 +189,8 @@ func (e *scatterError) Error() string {
 
 // scatter runs fn against every node concurrently and returns the per-node
 // results in node order plus every failure. Callers enforce the failure
-// policy: strict methods reject any failure, the gateway's allow_partial
-// path merges the survivors and reports the failed nodes explicitly.
+// policy: strict methods reject any failure, the AllowPartial view merges
+// the survivors and reports the failed nodes explicitly.
 func scatter[T any](nodes []*node, fn func(n *node) (T, error)) ([]T, []*NodeError) {
 	parts := make([]T, len(nodes))
 	errs := make([]error, len(nodes))
@@ -240,14 +244,145 @@ func (c *Coordinator) checkDim(dim int) error {
 	return nil
 }
 
+func (c *Coordinator) checkGroup(dim int, sels []dwarf.Selector) error {
+	if err := c.checkDim(dim); err != nil {
+		return err
+	}
+	return c.checkSels(sels)
+}
+
 // Point answers a point/ALL-wildcard query across the cluster: per-node
 // point partials merged in node order.
 func (c *Coordinator) Point(keys ...string) (dwarf.Aggregate, error) {
-	if len(keys) != len(c.dims) {
-		return dwarf.Aggregate{}, fmt.Errorf("%w: got %d keys, cube has %d dimensions", dwarf.ErrBadQuery, len(keys), len(c.dims))
+	return (&view{c: c}).Point(keys...)
+}
+
+// Range aggregates one selector per dimension across the cluster.
+func (c *Coordinator) Range(sels []dwarf.Selector) (dwarf.Aggregate, error) {
+	return (&view{c: c}).Range(sels)
+}
+
+// GroupBy groups the dimension at index dim across the cluster: full
+// per-node group maps merged with the kernel's map merge.
+func (c *Coordinator) GroupBy(dim int, sels []dwarf.Selector) (map[string]dwarf.Aggregate, error) {
+	return (&view{c: c}).GroupBy(dim, sels)
+}
+
+// Pivot is the multi-dimension GroupBy across the cluster, returning
+// sorted rows — the same merge the store applies to per-segment rows.
+func (c *Coordinator) Pivot(dims []int, sels []dwarf.Selector) ([]dwarf.PivotGroup, error) {
+	return (&view{c: c}).Pivot(dims, sels)
+}
+
+// TopK ranks the groups of one dimension across the cluster. Every node
+// contributes its full group map; threshold and K cut run only after the
+// merge (the full-map-before-cut rule, now over the network).
+func (c *Coordinator) TopK(dim int, sels []dwarf.Selector, spec dwarf.TopKSpec) ([]dwarf.GroupEntry, error) {
+	return (&view{c: c}).TopK(dim, sels, spec)
+}
+
+// The coordinator serves the full shared query surface.
+var _ query.Querier = (*Coordinator)(nil)
+
+// AllowPartial returns a one-request view of the cluster that answers
+// over the surviving nodes instead of failing when some fail: on a node
+// failure a query re-runs over the nodes that answered, and Failed names
+// the nodes the answers so far are missing. An answer over zero nodes is
+// not a partial answer, so when no node survives (or the re-run fails
+// too) the query still fails.
+func (c *Coordinator) AllowPartial() query.Partial { return &view{c: c, allowPartial: true} }
+
+// view runs queries over a fresh node snapshot each under one failure
+// policy: strict (the Coordinator's own methods) or allow-partial.
+type view struct {
+	c            *Coordinator
+	allowPartial bool
+	failed       []*NodeError
+}
+
+func (v *view) Failed() []string { return failedNames(v.failed) }
+func (v *view) Dims() []string   { return v.c.Dims() }
+func (v *view) NumDims() int     { return v.c.NumDims() }
+
+func (v *view) Point(keys ...string) (dwarf.Aggregate, error) {
+	if len(keys) != len(v.c.dims) {
+		return dwarf.Aggregate{}, fmt.Errorf("%w: got %d keys, cube has %d dimensions", dwarf.ErrBadQuery, len(keys), len(v.c.dims))
 	}
-	agg, _, err := c.point(c.snapshot(), keys)
-	return agg, err
+	return run(v, func(nodes []*node) (dwarf.Aggregate, []*NodeError, error) {
+		return v.c.point(nodes, keys)
+	})
+}
+
+func (v *view) Range(sels []dwarf.Selector) (dwarf.Aggregate, error) {
+	if err := v.c.checkSels(sels); err != nil {
+		return dwarf.Aggregate{}, err
+	}
+	return run(v, func(nodes []*node) (dwarf.Aggregate, []*NodeError, error) {
+		return v.c.rangeQ(nodes, sels)
+	})
+}
+
+func (v *view) GroupBy(dim int, sels []dwarf.Selector) (map[string]dwarf.Aggregate, error) {
+	if err := v.c.checkGroup(dim, sels); err != nil {
+		return nil, err
+	}
+	return run(v, func(nodes []*node) (map[string]dwarf.Aggregate, []*NodeError, error) {
+		return v.c.groupBy(nodes, dim, sels)
+	})
+}
+
+func (v *view) Pivot(dims []int, sels []dwarf.Selector) ([]dwarf.PivotGroup, error) {
+	if err := v.c.checkSels(sels); err != nil {
+		return nil, err
+	}
+	if len(dims) == 0 {
+		return nil, fmt.Errorf("%w: pivot needs at least one group dimension", dwarf.ErrBadQuery)
+	}
+	grouped := make([]bool, len(v.c.dims))
+	for _, d := range dims {
+		if err := v.c.checkDim(d); err != nil {
+			return nil, err
+		}
+		if grouped[d] {
+			return nil, fmt.Errorf("%w: group-by dimension %d named twice", dwarf.ErrBadQuery, d)
+		}
+		grouped[d] = true
+	}
+	return run(v, func(nodes []*node) ([]dwarf.PivotGroup, []*NodeError, error) {
+		return v.c.pivot(nodes, dims, sels)
+	})
+}
+
+func (v *view) TopK(dim int, sels []dwarf.Selector, spec dwarf.TopKSpec) ([]dwarf.GroupEntry, error) {
+	if err := v.c.checkGroup(dim, sels); err != nil {
+		return nil, err
+	}
+	return run(v, func(nodes []*node) ([]dwarf.GroupEntry, []*NodeError, error) {
+		return v.c.topK(nodes, dim, sels, spec)
+	})
+}
+
+// run executes one scatter-shaped query over a fresh snapshot under v's
+// policy. Strict: any node failure is the caller's error, verbatim.
+// Allow-partial: on failure the query re-runs over the surviving nodes and
+// the ORIGINAL failed list is recorded in v for explicit marking — unless
+// no node survived or the re-run itself failed, which is an error again.
+func run[T any](v *view, fn func([]*node) (T, []*NodeError, error)) (T, error) {
+	nodes := v.c.snapshot()
+	res, failed, err := fn(nodes)
+	if err == nil || !v.allowPartial {
+		return res, err
+	}
+	alive := surviving(nodes, failed)
+	if len(alive) == 0 {
+		return res, err
+	}
+	if res, _, err = fn(alive); err != nil {
+		var zero T
+		return zero, err
+	}
+	v.failed = append(v.failed, failed...)
+	return res, nil
 }
 
 func (c *Coordinator) point(nodes []*node, keys []string) (dwarf.Aggregate, []*NodeError, error) {
@@ -269,9 +404,9 @@ func (c *Coordinator) point(nodes []*node, keys []string) (dwarf.Aggregate, []*N
 // one partition; every other node would contribute the zero aggregate, and
 // merging zeros is the identity — asking one node is bit-identical to the
 // full scatter. Routing applies only when nodes is the full partition map:
-// an ALL wildcard aggregates across partitions, and a survivor subset (the
-// gateway's allow_partial re-run) no longer indexes like the partition map,
-// so both fall back to the scatter.
+// an ALL wildcard aggregates across partitions, and a survivor subset (an
+// AllowPartial re-run) no longer indexes like the partition map, so both
+// fall back to the scatter.
 func (c *Coordinator) pointOwner(nodes []*node, keys []string) (int, bool) {
 	if len(nodes) != c.NumNodes() || len(keys) != len(c.dims) {
 		return 0, false
@@ -284,15 +419,6 @@ func (c *Coordinator) pointOwner(nodes []*node, keys []string) (int, bool) {
 	return NodeFor(keys, len(nodes)), true
 }
 
-// Range aggregates one selector per dimension across the cluster.
-func (c *Coordinator) Range(sels []dwarf.Selector) (dwarf.Aggregate, error) {
-	if err := c.checkSels(sels); err != nil {
-		return dwarf.Aggregate{}, err
-	}
-	agg, _, err := c.rangeQ(c.snapshot(), sels)
-	return agg, err
-}
-
 func (c *Coordinator) rangeQ(nodes []*node, sels []dwarf.Selector) (dwarf.Aggregate, []*NodeError, error) {
 	req := partialReq{Shape: "range", Cube: c.live, Selectors: wireSelectors(sels)}
 	parts, failed := scatter(nodes, func(n *node) (dwarf.Aggregate, error) {
@@ -302,19 +428,6 @@ func (c *Coordinator) rangeQ(nodes []*node, sels []dwarf.Selector) (dwarf.Aggreg
 		return dwarf.Aggregate{}, failed, err
 	}
 	return mergeAggs(parts), failed, nil
-}
-
-// GroupBy groups the dimension at index dim across the cluster: full
-// per-node group maps merged with the kernel's map merge.
-func (c *Coordinator) GroupBy(dim int, sels []dwarf.Selector) (map[string]dwarf.Aggregate, error) {
-	if err := c.checkDim(dim); err != nil {
-		return nil, err
-	}
-	if err := c.checkSels(sels); err != nil {
-		return nil, err
-	}
-	groups, _, err := c.groupBy(c.snapshot(), dim, sels)
-	return groups, err
 }
 
 func (c *Coordinator) groupBy(nodes []*node, dim int, sels []dwarf.Selector) (map[string]dwarf.Aggregate, []*NodeError, error) {
@@ -329,29 +442,6 @@ func (c *Coordinator) groupBy(nodes []*node, dim int, sels []dwarf.Selector) (ma
 		return nil, failed, err
 	}
 	return dwarf.MergeGroupMaps(make(map[string]dwarf.Aggregate), parts...), failed, nil
-}
-
-// Pivot is the multi-dimension GroupBy across the cluster, returning
-// sorted rows — the same merge the store applies to per-segment rows.
-func (c *Coordinator) Pivot(dims []int, sels []dwarf.Selector) ([]dwarf.PivotGroup, error) {
-	if err := c.checkSels(sels); err != nil {
-		return nil, err
-	}
-	if len(dims) == 0 {
-		return nil, fmt.Errorf("%w: pivot needs at least one group dimension", dwarf.ErrBadQuery)
-	}
-	grouped := make([]bool, len(c.dims))
-	for _, d := range dims {
-		if err := c.checkDim(d); err != nil {
-			return nil, err
-		}
-		if grouped[d] {
-			return nil, fmt.Errorf("%w: group-by dimension %d named twice", dwarf.ErrBadQuery, d)
-		}
-		grouped[d] = true
-	}
-	rows, _, err := c.pivot(c.snapshot(), dims, sels)
-	return rows, err
 }
 
 func (c *Coordinator) pivot(nodes []*node, dims []int, sels []dwarf.Selector) ([]dwarf.PivotGroup, []*NodeError, error) {
@@ -369,20 +459,6 @@ func (c *Coordinator) pivot(nodes []*node, dims []int, sels []dwarf.Selector) ([
 	return dwarf.MergePivotGroups(parts...), failed, nil
 }
 
-// TopK ranks the groups of one dimension across the cluster. Every node
-// contributes its full group map; threshold and K cut run only after the
-// merge (the full-map-before-cut rule, now over the network).
-func (c *Coordinator) TopK(dim int, sels []dwarf.Selector, spec dwarf.TopKSpec) ([]dwarf.GroupEntry, error) {
-	if err := c.checkDim(dim); err != nil {
-		return nil, err
-	}
-	if err := c.checkSels(sels); err != nil {
-		return nil, err
-	}
-	entries, _, err := c.topK(c.snapshot(), dim, sels, spec)
-	return entries, err
-}
-
 func (c *Coordinator) topK(nodes []*node, dim int, sels []dwarf.Selector, spec dwarf.TopKSpec) ([]dwarf.GroupEntry, []*NodeError, error) {
 	groups, failed, err := c.groupBy(nodes, dim, sels)
 	if err != nil {
@@ -391,8 +467,20 @@ func (c *Coordinator) topK(nodes []*node, dim int, sels []dwarf.Selector, spec d
 	return dwarf.TopKFromGroups(groups, spec), failed, nil
 }
 
-// The coordinator serves the full shared query surface.
-var _ query.Querier = (*Coordinator)(nil)
+// surviving filters the failed nodes out of a snapshot.
+func surviving(nodes []*node, failed []*NodeError) []*node {
+	bad := make(map[string]bool, len(failed))
+	for _, f := range failed {
+		bad[f.Node] = true
+	}
+	out := make([]*node, 0, len(nodes))
+	for _, n := range nodes {
+		if !bad[n.base] {
+			out = append(out, n)
+		}
+	}
+	return out
+}
 
 // Append hash-routes the batch and appends each slice to its node. The
 // write is acknowledged only when every involved node acknowledged its
@@ -404,6 +492,14 @@ var _ query.Querier = (*Coordinator)(nil)
 func (c *Coordinator) Append(tuples []dwarf.Tuple) error {
 	if len(tuples) == 0 {
 		return fmt.Errorf("cluster: empty batch")
+	}
+	// Reject a bad batch before any node takes a slice of it, with the
+	// store's own rules: a node would refuse it anyway, after its
+	// neighbours had appended theirs.
+	for i, tu := range tuples {
+		if err := dwarf.ValidateTuple(tu, len(c.dims)); err != nil {
+			return fmt.Errorf("cluster: tuple %d: %w", i, err)
+		}
 	}
 	nodes := c.snapshot()
 	buckets := make([][]dwarf.Tuple, len(nodes))

@@ -3,13 +3,16 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dwarf"
+	"repro/internal/serve"
 )
 
 // gwFixture is a 3-node cluster behind a gateway, plus the union oracle.
@@ -328,4 +331,94 @@ func TestGatewayPartialAnswers(t *testing.T) {
 	tc.nodes[2].srv.Close()
 	postJSON(t, gw.URL+"/query/groupby",
 		map[string]any{"dim": "Kind", "allow_partial": true}, http.StatusBadGateway)
+}
+
+// cubeLine matches the envelope's "cube" member, the one field a gateway
+// body (no cube named) and a dwarfd body (cube=live) may differ in.
+var cubeLine = regexp.MustCompile(`(?m)^  "cube": ".*",?\n`)
+
+// TestGatewayMatchesDwarfd replays one request battery — every query
+// shape, paging (including a page past the end) and 400s — against the
+// gateway and against a dwarfd serving the union store as cube=live. The
+// bodies must be byte-identical once the "cube" member is dropped: same
+// status, field order, paging envelope and error text.
+func TestGatewayMatchesDwarfd(t *testing.T) {
+	tc, gw := gwFixture(t)
+	tc.load(t, testTuples(150))
+	srv, err := serve.New(serve.Options{Store: tc.union})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dwarfd := httptest.NewServer(srv.Handler())
+	defer dwarfd.Close()
+
+	fetch := func(method, url, body string) (int, string) {
+		t.Helper()
+		var resp *http.Response
+		var err error
+		if method == http.MethodGet {
+			resp, err = http.Get(url)
+		} else {
+			resp, err = http.Post(url, "application/json", strings.NewReader(body))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, cubeLine.ReplaceAllString(string(b), "")
+	}
+
+	for _, c := range []struct {
+		method, path, body string
+		status             int
+	}{
+		{"GET", "/query/point?key=d0&key=north&key=bike", "", 200},
+		{"GET", "/query/point?keys=d1,*,*", "", 200},
+		{"POST", "/query/point", `{"keys":["*","*","bike"]}`, 200},
+		{"POST", "/query/range", `{"selectors":[{"lo":"d1","hi":"d4"},{"keys":["north","east"]}]}`, 200},
+		{"POST", "/query/range", `{"selectors":[]}`, 200},
+		{"POST", "/query/groupby", `{"dim":"Region"}`, 200},
+		{"POST", "/query/groupby", `{"dim":"Day","selectors":[{},{"keys":["south"]}],"limit":2,"offset":1}`, 200},
+		{"POST", "/query/groupby", `{"dim":"2","limit":3,"offset":99}`, 200},
+		{"POST", "/query/pivot", `{"dims":["Region","Kind"],"limit":3,"offset":2}`, 200},
+		{"POST", "/query/pivot", `{"dims":["Kind","Day"],"selectors":[{"lo":"d2","hi":"d3"}]}`, 200},
+		{"POST", "/query/rollup", `{"keep":["Kind","Region"],"limit":4}`, 200},
+		{"POST", "/query/topk", `{"dim":"Region","k":3,"by":"sum"}`, 200},
+		{"POST", "/query/topk", `{"dim":"Day","k":5,"by":"count","threshold":2,"limit":2,"offset":1}`, 200},
+		{"POST", "/query/groupby", `{"dim":"Nope"}`, 400},
+		{"POST", "/query/groupby", `{"dim":"Region","limit":-1}`, 400},
+		{"POST", "/query/range", `{"selectors":[{"lo":"a"}]}`, 400},
+		{"POST", "/query/pivot", `{"dims":["Region","Region"]}`, 400},
+		{"POST", "/query/topk", `{"dim":"Region","k":2,"by":"median"}`, 400},
+		{"POST", "/query/point", `{"keys":["d0"]}`, 400},
+		{"POST", "/query/point", `{bad json`, 400},
+	} {
+		gwStatus, gwBody := fetch(c.method, gw.URL+c.path, c.body)
+		path, body := c.path, c.body
+		if c.method == http.MethodGet {
+			path = strings.Replace(path, "?", "?cube=live&", 1)
+		} else if strings.HasPrefix(body, "{") && body != "{bad json" {
+			body = `{"cube":"live",` + strings.TrimPrefix(body, "{")
+		}
+		dStatus, dBody := fetch(c.method, dwarfd.URL+path, body)
+		if gwStatus != c.status || dStatus != c.status {
+			t.Fatalf("%s %s: status gateway %d, dwarfd %d, want %d\ngateway: %s\ndwarfd: %s",
+				c.method, c.path, gwStatus, dStatus, c.status, gwBody, dBody)
+		}
+		if gwBody != dBody {
+			t.Fatalf("%s %s %s: bodies differ\ngateway: %s\ndwarfd:  %s", c.method, c.path, c.body, gwBody, dBody)
+		}
+	}
+
+	// allow_partial needs a backend with parts to lose: the single store
+	// refuses it, the cluster answers (completely, here: no node is down).
+	postJSON(t, dwarfd.URL+"/query/groupby", map[string]any{"cube": "live", "dim": "Kind", "allow_partial": true}, http.StatusBadRequest)
+	resp := postJSON(t, gw.URL+"/query/groupby", map[string]any{"dim": "Kind", "allow_partial": true}, http.StatusOK)
+	if _, marked := resp["partial"]; marked {
+		t.Fatalf("complete allow_partial answer marked partial: %v", resp)
+	}
 }

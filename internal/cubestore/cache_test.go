@@ -13,11 +13,11 @@ import (
 	"repro/internal/query"
 )
 
-// Cache/rollup differential suite: a store serving through the planned
-// path (hot-result cache, per-segment partials, rollup segments) must
-// answer every query shape bit-identically to the plain fan-out — which
-// compareStore already holds equal to a batch cube — across arbitrary
-// interleavings of Append/Seal/Compact, cold and warm.
+// Cache/rollup differential suite: a store serving through the planner
+// with a hot-result cache, per-segment partials and rollup segments must
+// answer every query shape bit-identically to a plain store (no cache, no
+// rollups) — which compareStore already holds equal to a batch cube —
+// across arbitrary interleavings of Append/Seal/Compact, cold and warm.
 
 func cacheTestOptions(workers int) Options {
 	return Options{
@@ -233,7 +233,7 @@ func TestGenerationPersists(t *testing.T) {
 
 // TestRollupPlanner pins the routing rules: eligible grouped queries go
 // through the smallest covering rollup, restricted dropped dimensions and
-// stale covers fall back to the plain fan-out, and answers are identical
+// stale covers fan out over the segments, and answers are identical
 // either way.
 func TestRollupPlanner(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))

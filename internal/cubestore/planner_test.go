@@ -12,10 +12,11 @@ import (
 )
 
 // Unit coverage for the planned query path's routing decisions: invalid
-// arguments must skip the planner (so the kernel reports its usual error),
-// a rollup whose cover is no longer a subset of the live segment set must
-// fall back to the plain fan-out, and runIndexed must surface the
-// lowest-index error regardless of which targets run concurrently.
+// arguments must never be routed through a rollup (so the kernel reports
+// its usual error), a rollup whose cover is no longer a subset of the live
+// segment set must give way to the segments themselves, and runIndexed
+// must surface the lowest-index error regardless of which targets run
+// concurrently.
 
 func TestValidPivotArgs(t *testing.T) {
 	all := make([]dwarf.Selector, 3)
@@ -67,12 +68,12 @@ func TestPlanTargetsRollupCoverGone(t *testing.T) {
 	dims := []string{"Day", "Region", "Kind"}
 	// The rollup summarizes seg-1 and seg-2, but seg-2 was compacted away:
 	// routing through the rollup would double-count seg-1 against the
-	// compaction output, so the planner must fall back to the plain
-	// fan-out over the live segments.
+	// compaction output, so the planner must fan out over the live
+	// segments instead.
 	st := plannerState(t, dims, []string{"seg-1.dwarf", "seg-3.dwarf"},
 		[]string{"Region", "Kind"}, []string{"seg-1.dwarf", "seg-2.dwarf"})
 	sels := make([]dwarf.Selector, len(dims))
-	targets, viaRollup := new(Store).planTargets(st, []int{1}, sels)
+	targets, viaRollup := (&Store{dims: dims}).planTargets(st, []int{1}, sels, nil)
 	if viaRollup {
 		t.Fatal("partially covering rollup must not be planned in")
 	}
@@ -92,7 +93,7 @@ func TestPlanTargetsRollupRemap(t *testing.T) {
 		[]string{"Region", "Kind"}, []string{"seg-1.dwarf"})
 	sels := make([]dwarf.Selector, len(dims))
 	sels[2] = dwarf.SelectKeys("bike")
-	targets, viaRollup := new(Store).planTargets(st, []int{2}, sels)
+	targets, viaRollup := (&Store{dims: dims}).planTargets(st, []int{2}, sels, nil)
 	if !viaRollup {
 		t.Fatal("fully covering rollup must be planned in")
 	}
@@ -116,8 +117,8 @@ func TestPlanTargetsRollupRemap(t *testing.T) {
 }
 
 func TestInvalidArgsSkipPlanner(t *testing.T) {
-	// A store with a cache routes grouped queries through the planner —
-	// but invalid arguments must take the plain path so the kernel
+	// A store with a cache plans grouped queries through the cache and
+	// rollups — but invalid arguments must skip both so the kernel
 	// reports its usual error instead of the planner panicking or
 	// answering a mis-shaped query.
 	store, err := Open(t.TempDir(), Options{

@@ -30,14 +30,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/dwarf"
 	"repro/internal/qcache"
-	"repro/internal/query"
 )
 
 // Defaults for Options' zero values.
@@ -295,15 +293,6 @@ type Store struct {
 	dirSyncErrs    atomic.Int64
 	errMu          sync.Mutex
 	lastDirSyncErr string
-
-	// streamingCompacts / fallbackCompacts split compactions by merge path,
-	// so a store silently living on the decode fallback is visible in Stats.
-	streamingCompacts atomic.Int64
-	fallbackCompacts  atomic.Int64
-
-	// disableStreamingCompact forces the decode+MergeAll fallback; tests use
-	// it to hold both compaction paths to the same answers.
-	disableStreamingCompact bool
 
 	// orphansRemoved counts files deleted by recovery at Open; recovery
 	// tests assert interrupted seals and compactions leave nothing behind.
@@ -1173,13 +1162,13 @@ func (s *Store) Compact() (int, error) {
 // takes the writer lock. compactMu guarantees a single compactor, so the
 // picked inputs cannot disappear meanwhile (seals only add segments).
 //
-// The happy path is the streaming k-way merge: dwarf.MergeViews descends
-// the segments' zero-copy views directly and writes the merged v2-indexed
+// The merge is the streaming k-way merge: dwarf.MergeViews descends the
+// segments' zero-copy views directly and writes the merged v2-indexed
 // segment in one pass, so compaction never materializes a node graph and
 // its working set is the output segment plus O(depth·fanout·k) cursor
-// state — not the sum of the decoded inputs. If the streaming merge fails
-// (e.g. a segment outgrew the u32 offset index), compaction falls back to
-// decoding every input and folding them with one k-way dwarf.MergeAll.
+// state — not the sum of the decoded inputs. A merge failure (a corrupt
+// input, an output past the u32 offset index) fails the compaction with
+// the manifest and segment set untouched.
 func (s *Store) compactOnce() (bool, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -1203,36 +1192,13 @@ func (s *Store) compactOnce() (bool, error) {
 	for _, seg := range group {
 		tuples += seg.meta.Tuples
 	}
-	var encoded []byte
-	streamed := false
-	if !s.disableStreamingCompact {
-		views := make([]*dwarf.CubeView, len(group))
-		for i, seg := range group {
-			views[i] = seg.view
-		}
-		if enc, _, err := dwarf.MergeViewsBytes(views...); err == nil {
-			encoded = enc
-			streamed = true
-		}
+	views := make([]*dwarf.CubeView, len(group))
+	for i, seg := range group {
+		views[i] = seg.view
 	}
-	if encoded == nil {
-		// Fallback: decode every input once and fold them with a single
-		// k-way merge (one coalesce pass, not k-1 pairwise re-coalesces).
-		cubes := make([]*dwarf.Cube, len(group))
-		for i, seg := range group {
-			c, err := dwarf.DecodeBytes(seg.data)
-			if err != nil {
-				return false, fmt.Errorf("cubestore: decoding %s: %w", seg.meta.File, err)
-			}
-			cubes[i] = c
-		}
-		merged, err := dwarf.MergeAll(cubes...)
-		if err != nil {
-			return false, err
-		}
-		if encoded, err = encodeCube(merged); err != nil {
-			return false, err
-		}
+	encoded, _, err := dwarf.MergeViewsBytes(views...)
+	if err != nil {
+		return false, fmt.Errorf("cubestore: merging %d segments: %w", len(group), err)
 	}
 	view, err := dwarf.OpenViewTrusted(encoded)
 	if err != nil {
@@ -1302,11 +1268,6 @@ func (s *Store) compactOnce() (bool, error) {
 	s.noteDirSync(fsyncDir(s.dir))
 	s.publish()
 	s.compactions.Add(1)
-	if streamed {
-		s.streamingCompacts.Add(1)
-	} else {
-		s.fallbackCompacts.Add(1)
-	}
 	s.lastCompactErr = ""
 	return true, nil
 }
@@ -1376,197 +1337,6 @@ func (s *Store) crashClose() {
 	s.lock.release()
 }
 
-// ---- Queries ----
-
-// The store implements every shape of the shared query surface
-// (query.Querier) the same way: run the unified kernel against each target
-// — every sealed segment's zero-copy CubeView plus the live memtable cube,
-// both dwarf.Sources answering through the same kernel code — then merge
-// the partial results in deterministic target order. Aggregate shapes merge
-// with dwarf.MergeAggregates; keyed shapes merge per key
-// (dwarf.MergeGroupMaps / dwarf.MergePivotGroups); TopK cuts only after
-// every partial group is in, so a key that is small in every segment but
-// large in total still ranks (docs/QUERY.md).
-
-// targets snapshots the fan-out set: every sealed segment view, every
-// frozen memtable awaiting its seal, and the live cube, minus segments
-// whose zone maps prove no selected tuple can live there. admit is the
-// per-segment admission test (dwarf.ZonesAdmit or ZonesAdmitPoint closed
-// over the query); nil disables pruning, as does Options.NoPrune. Skipping
-// a segment never changes the merged answer: an absent key contributes the
-// zero Aggregate, and merging zero is identity. Frozen memtables are never
-// pruned (no zone maps) and count in neither scan counter, like the live
-// memtable. The snapshot is immutable, so the query runs lock-free even
-// while commits, seals and compactions swap the store state underneath.
-func (s *Store) targets(admit func([]dwarf.ZoneMap) bool) ([]query.Querier, error) {
-	st := s.state.Load()
-	live, err := st.mem.Cube()
-	if err != nil {
-		return nil, err
-	}
-	if s.opts.NoPrune {
-		admit = nil
-	}
-	out := make([]query.Querier, 0, len(st.segs)+len(st.frozen)+1)
-	pruned := int64(0)
-	for _, seg := range st.segs {
-		if admit != nil && !admit(seg.zones) {
-			pruned++
-			continue
-		}
-		out = append(out, seg.view)
-	}
-	if pruned > 0 {
-		s.segsPruned.Add(pruned)
-	}
-	s.segsScanned.Add(int64(len(out)))
-	for _, fz := range st.frozen {
-		c, err := fz.mem.Cube()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return append(out, live), nil
-}
-
-// admitRange closes dwarf.ZonesAdmit over one selector list.
-func admitRange(sels []dwarf.Selector) func([]dwarf.ZoneMap) bool {
-	return func(zones []dwarf.ZoneMap) bool { return dwarf.ZonesAdmit(zones, sels) }
-}
-
-// fanOut runs fn against every target, concurrently when there are several,
-// and hands the partial results to merge in deterministic target order.
-func fanOut[T any](targets []query.Querier, fn func(query.Querier) (T, error)) ([]T, error) {
-	results := make([]T, len(targets))
-	if len(targets) <= 2 || runtime.GOMAXPROCS(0) == 1 {
-		for i, q := range targets {
-			r, err := fn(q)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-		return results, nil
-	}
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, q := range targets {
-		wg.Add(1)
-		go func(i int, q query.Querier) {
-			defer wg.Done()
-			results[i], errs[i] = fn(q)
-		}(i, q)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-func (s *Store) aggQuery(admit func([]dwarf.ZoneMap) bool, fn func(query.Querier) (dwarf.Aggregate, error)) (dwarf.Aggregate, error) {
-	targets, err := s.targets(admit)
-	if err != nil {
-		return dwarf.Aggregate{}, err
-	}
-	parts, err := fanOut(targets, fn)
-	if err != nil {
-		return dwarf.Aggregate{}, err
-	}
-	var agg dwarf.Aggregate
-	for _, p := range parts {
-		agg = dwarf.MergeAggregates(agg, p)
-	}
-	return agg, nil
-}
-
-// groupQuery fans a per-key map shape out and merges the partials per key.
-func (s *Store) groupQuery(admit func([]dwarf.ZoneMap) bool, fn func(query.Querier) (map[string]dwarf.Aggregate, error)) (map[string]dwarf.Aggregate, error) {
-	targets, err := s.targets(admit)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := fanOut(targets, fn)
-	if err != nil {
-		return nil, err
-	}
-	return dwarf.MergeGroupMaps(make(map[string]dwarf.Aggregate), parts...), nil
-}
-
-// Point answers a point/ALL query across every sealed segment and the live
-// memtable, reflecting every acknowledged tuple. Segments whose zone maps
-// exclude any bound key are pruned from the fan-out.
-func (s *Store) Point(keys ...string) (dwarf.Aggregate, error) {
-	admit := func(zones []dwarf.ZoneMap) bool { return dwarf.ZonesAdmitPoint(zones, keys) }
-	return s.aggQuery(admit, func(q query.Querier) (dwarf.Aggregate, error) { return q.Point(keys...) })
-}
-
-// Range aggregates the sub-cube addressed by one selector per dimension
-// across segments and the live memtable, pruning segments whose zone maps
-// prove the selection empty there.
-func (s *Store) Range(sels []dwarf.Selector) (dwarf.Aggregate, error) {
-	return s.aggQuery(admitRange(sels), func(q query.Querier) (dwarf.Aggregate, error) { return q.Range(sels) })
-}
-
-// GroupBy groups the dimension at index dim under the restriction of sels,
-// merging per-key partial aggregates across segments and the live memtable.
-// With a result cache or rollup segments configured it runs through the
-// planned path in cached.go; answers are identical either way.
-func (s *Store) GroupBy(dim int, sels []dwarf.Selector) (map[string]dwarf.Aggregate, error) {
-	if (s.cache != nil || len(s.rollupSpecs) > 0) &&
-		dim >= 0 && dim < len(s.dims) && len(sels) == len(s.dims) {
-		return s.groupByPlanned(dim, sels)
-	}
-	return s.groupQuery(admitRange(sels), func(q query.Querier) (map[string]dwarf.Aggregate, error) {
-		return q.GroupBy(dim, sels)
-	})
-}
-
-// Pivot is the multi-dimension GroupBy across segments and the live
-// memtable: per-target sorted rows are merged per key tuple, so the result
-// is exactly a single cube's Pivot over all acknowledged tuples.
-func (s *Store) Pivot(dims []int, sels []dwarf.Selector) ([]dwarf.PivotGroup, error) {
-	if (s.cache != nil || len(s.rollupSpecs) > 0) && validPivotArgs(dims, sels, len(s.dims)) {
-		return s.pivotPlanned(dims, sels)
-	}
-	targets, err := s.targets(admitRange(sels))
-	if err != nil {
-		return nil, err
-	}
-	parts, err := fanOut(targets, func(q query.Querier) ([]dwarf.PivotGroup, error) {
-		return q.Pivot(dims, sels)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dwarf.MergePivotGroups(parts...), nil
-}
-
-// TopK ranks the groups of the dimension at index dim across segments and
-// the live memtable. Partial group maps are merged before the threshold and
-// K cut — a per-target cut would drop keys whose weight is spread across
-// segments — so the ranking equals a single cube's over all acknowledged
-// tuples.
-func (s *Store) TopK(dim int, sels []dwarf.Selector, spec dwarf.TopKSpec) ([]dwarf.GroupEntry, error) {
-	if (s.cache != nil || len(s.rollupSpecs) > 0) &&
-		dim >= 0 && dim < len(s.dims) && len(sels) == len(s.dims) {
-		return s.topKPlanned(dim, sels, spec)
-	}
-	groups, err := s.groupQuery(admitRange(sels), func(q query.Querier) (map[string]dwarf.Aggregate, error) {
-		return q.GroupBy(dim, sels)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dwarf.TopKFromGroups(groups, spec), nil
-}
-
-// The store serves the full shared query surface.
-var _ query.Querier = (*Store)(nil)
-
 // TotalTuples reports every acknowledged source tuple: sealed plus frozen
 // plus live. It reads counters only — no memtable flush — so per-request
 // callers (/ingest) stay cheap.
@@ -1620,12 +1390,6 @@ type Stats struct {
 	Seals       int64  `json:"seals"`
 	Compactions int64  `json:"compactions"`
 	Appended    int64  `json:"appended"`
-
-	// StreamingCompactions counts compactions that ran the zero-copy k-way
-	// merge; FallbackCompactions counts those that fell back to decoding
-	// the inputs. Their sum is Compactions.
-	StreamingCompactions int64 `json:"streaming_compactions"`
-	FallbackCompactions  int64 `json:"fallback_compactions"`
 
 	// Query-cache counters (all zero when Options.CacheBytes is 0):
 	// hits/misses/stale count full-result lookups (stale = an entry was
@@ -1694,9 +1458,6 @@ func (s *Store) Stats() Stats {
 		Seals:       s.seals.Load(),
 		Compactions: s.compactions.Load(),
 		Appended:    s.appended.Load(),
-
-		StreamingCompactions: s.streamingCompacts.Load(),
-		FallbackCompactions:  s.fallbackCompacts.Load(),
 
 		RollupHits: s.rollupHits.Load(),
 

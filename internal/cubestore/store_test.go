@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -598,57 +599,113 @@ func TestStoreOrphanRemovalSparesForeignFiles(t *testing.T) {
 // fallback — and holds both stores to the batch-build answers. It also
 // pins the path accounting in Stats.
 func TestStoreCompactionPaths(t *testing.T) {
-	for _, fallback := range []bool{false, true} {
-		name := "streaming"
-		if fallback {
-			name = "fallback"
-		}
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			s, err := Open(t.TempDir(), Options{
-				Dims:               testDims,
-				SealTuples:         40,
-				ChunkTuples:        16,
-				CompactFanout:      3,
-				DisableAutoCompact: true,
-				NoSync:             true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			s.disableStreamingCompact = fallback
-			var all []dwarf.Tuple
-			for i := 0; i < 12; i++ {
-				batch := randTuples(rng, 40)
-				if err := s.Append(batch); err != nil {
-					t.Fatal(err)
-				}
-				all = append(all, batch...)
-				if err := s.Seal(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			n, err := s.Compact()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n == 0 {
-				t.Fatal("expected at least one compaction")
-			}
-			st := s.Stats()
-			if st.StreamingCompactions+st.FallbackCompactions != st.Compactions {
-				t.Fatalf("path counters %d+%d disagree with %d compactions",
-					st.StreamingCompactions, st.FallbackCompactions, st.Compactions)
-			}
-			if fallback && st.StreamingCompactions != 0 {
-				t.Fatalf("forced fallback still ran %d streaming compactions", st.StreamingCompactions)
-			}
-			if !fallback && st.FallbackCompactions != 0 {
-				t.Fatalf("happy path fell back %d times: %+v", st.FallbackCompactions, st)
-			}
-			compareStore(t, s, all, nil, rng, true)
+	t.Run("streaming", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		s, err := Open(t.TempDir(), Options{
+			Dims:               testDims,
+			SealTuples:         40,
+			ChunkTuples:        16,
+			CompactFanout:      3,
+			DisableAutoCompact: true,
+			NoSync:             true,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var all []dwarf.Tuple
+		for i := 0; i < 12; i++ {
+			batch := randTuples(rng, 40)
+			if err := s.Append(batch); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, batch...)
+			if err := s.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n, err := s.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			t.Fatal("expected at least one compaction")
+		}
+		if st := s.Stats(); st.Compactions != int64(n) {
+			t.Fatalf("Stats counts %d compactions, Compact reported %d", st.Compactions, n)
+		}
+		compareStore(t, s, all, nil, rng, true)
+	})
+}
+
+// TestStoreCompactionSurfacesMergeError corrupts one heap-backed input
+// segment in memory and lets background compaction pick it up: the merge
+// error must fail the compaction (no silent decode fallback), be named in
+// Stats.LastCompactError, and leave the manifest and the segment list
+// exactly as they were.
+func TestStoreCompactionSurfacesMergeError(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	dir := t.TempDir()
+	s, err := Open(dir, Options{
+		Dims:          testDims,
+		SealTuples:    1 << 20,
+		SealAge:       2 * time.Millisecond, // ticks drive background compaction
+		CompactFanout: 3,
+		NoSync:        true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sealBatch := func() {
+		t.Helper()
+		if err := s.Append(randTuples(rng, 60)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sealBatch()
+	sealBatch()
+
+	// Overwrite the middle of the first segment's node section. The view
+	// aliases these bytes and has not been touched by a query yet, so the
+	// merge's first read of it is the one that finds the damage.
+	s.mu.Lock()
+	data := s.segs[0].data
+	s.mu.Unlock()
+	for i := len(data) / 4; i < len(data)/2; i++ {
+		data[i] = 0xff
+	}
+
+	sealBatch() // the third segment reaches CompactFanout
+	before := s.Stats()
+	manBefore, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForStats(t, s, "a recorded compaction failure", func(st Stats) bool { return st.LastCompactError != "" })
+
+	if _, err := s.Compact(); !errors.Is(err, dwarf.ErrCorruptCube) {
+		t.Fatalf("Compact over a corrupt segment: %v, want ErrCorruptCube", err)
+	}
+	if msg := s.Stats().LastCompactError; !strings.Contains(msg, "merging 3 segments") || !strings.Contains(msg, "corrupt") {
+		t.Fatalf("LastCompactError %q does not name the merge failure", msg)
+	}
+	after := s.Stats()
+	if after.Compactions != 0 {
+		t.Fatalf("%d compactions committed over a corrupt input", after.Compactions)
+	}
+	if !slices.Equal(after.Segments, before.Segments) {
+		t.Fatalf("segment list changed: %+v -> %+v", before.Segments, after.Segments)
+	}
+	manAfter, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(manAfter, manBefore) {
+		t.Fatalf("manifest changed:\n%s\n->\n%s", manBefore, manAfter)
 	}
 }
 
@@ -709,4 +766,57 @@ func TestStoreStreamingCompactionCanonicalBytes(t *testing.T) {
 func nan() float64 {
 	var z float64
 	return z / z
+}
+
+// TestStoreQueryAllocs pins the allocation cost of the aggregate shapes on
+// a store with four sealed segments plus a live memtable, with and without
+// a result cache: Point and Range run through the same planner as the
+// grouped shapes but take neither the rollup routing nor the cache, so the
+// planner must not cost them allocations. The budgets are what the
+// pre-planner plain fan-out measured on this fixture.
+func TestStoreQueryAllocs(t *testing.T) {
+	for _, cacheBytes := range []int64{0, 1 << 20} {
+		t.Run(fmt.Sprintf("cache=%d", cacheBytes), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(17))
+			s, err := Open(t.TempDir(), Options{
+				Dims: testDims, NoSync: true, DisableAutoCompact: true,
+				SealTuples: 1 << 20, CacheBytes: cacheBytes,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for i := 0; i < 4; i++ {
+				if err := s.Append(randTuples(rng, 50)); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Seal(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Append(randTuples(rng, 20)); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(s.Stats().Segments); n != 4 {
+				t.Fatalf("fixture has %d segments, want 4", n)
+			}
+			keys := []string{dimKey(0, 1), dimKey(1, 2), dimKey(2, 3)}
+			wild := []string{dwarf.All, dimKey(1, 2), dwarf.All}
+			sels := []dwarf.Selector{dwarf.SelectRange(dimKey(0, 0), dimKey(0, 1)), {}, {}}
+			for _, c := range []struct {
+				name   string
+				budget float64
+				run    func()
+			}{
+				{"Point", 3, func() { s.Point(keys...) }},
+				{"Point wildcard", 4, func() { s.Point(wild...) }},
+				{"Range", 8, func() { s.Range(sels) }},
+			} {
+				c.run() // the first query after an append flushes the memtable
+				if n := testing.AllocsPerRun(200, c.run); n > c.budget {
+					t.Errorf("%s: %v allocs/call, budget %v", c.name, n, c.budget)
+				}
+			}
+		})
+	}
 }

@@ -56,6 +56,22 @@ var (
 // ErrUnknownDim reports a dimension name the target does not have.
 var ErrUnknownDim = errors.New("query: unknown dimension")
 
+// ErrUnavailable reports that a distributed Querier could not reach every
+// part it answers from (a cluster node that failed or timed out), so it
+// refused to answer rather than return a silently short result. Errors
+// wrapping it name the failed parts; HTTP servers map it to 502.
+var ErrUnavailable = errors.New("query: backend parts unavailable")
+
+// Partial is a Querier that answers over the parts of a distributed
+// backend that are reachable, instead of failing when some are not (a
+// cluster's allow_partial mode). Failed names the parts missing from the
+// answers given so far, sorted; empty means every answer was complete.
+// A Partial serves one request: it is not safe for concurrent use.
+type Partial interface {
+	Querier
+	Failed() []string
+}
+
 // DimIndex resolves a dimension name to its index in q's dimension order.
 func DimIndex(q Querier, name string) (int, error) {
 	for i, d := range q.Dims() {

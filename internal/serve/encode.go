@@ -1,9 +1,9 @@
 // Hand-rolled JSON response encoders: one append-to-buffer emitter per
-// response envelope, producing output byte-identical to what the legacy
-// reflection path (encoding/json with two-space indent and HTML escaping)
-// produces for the equivalent typed value. The differential suite in
-// encode_test.go pins that equivalence per envelope, including fuzzed keys
-// and float values.
+// response envelope, producing output byte-identical to what encoding/json
+// (two-space indent, HTML escaping) produces for the equivalent typed
+// response struct in server.go. The differential suite in encode_test.go
+// pins that equivalence per envelope, including fuzzed keys and float
+// values, and the handler batteries re-check every served body against it.
 //
 // Discipline: emitters only ever append to the caller's buffer — no
 // intermediate containers, no reflection, no per-row allocation — so a
@@ -146,6 +146,19 @@ func (w *jw) agg(a dwarf.Aggregate) {
 // done terminates the document the way Encoder.Encode does.
 func (w *jw) done() []byte { return append(w.buf, '\n') }
 
+// end closes a query envelope, first appending the partial-answer marking
+// (partialMark) when the answer is missing failed parts.
+func (w *jw) end(failed []string) []byte {
+	if len(failed) > 0 {
+		w.key("partial")
+		w.boolean(true)
+		w.key("failed_nodes")
+		w.strs(failed)
+	}
+	w.close('}')
+	return w.done()
+}
+
 const hexDigits = "0123456789abcdef"
 
 // appendJSONString escapes and appends s exactly as encoding/json does with
@@ -252,7 +265,7 @@ func appendErrorResponse(buf []byte, msg string) []byte {
 }
 
 // appendPointResponse emits the /query/point envelope.
-func appendPointResponse(buf []byte, cube string, keys []string, a dwarf.Aggregate) []byte {
+func appendPointResponse(buf []byte, cube string, keys []string, a dwarf.Aggregate, failed []string) []byte {
 	w := jw{buf: buf}
 	w.open('{')
 	w.key("aggregate")
@@ -261,27 +274,25 @@ func appendPointResponse(buf []byte, cube string, keys []string, a dwarf.Aggrega
 	w.str(cube)
 	w.key("keys")
 	w.strs(keys)
-	w.close('}')
-	return w.done()
+	return w.end(failed)
 }
 
 // appendRangeResponse emits the /query/range envelope.
-func appendRangeResponse(buf []byte, cube string, a dwarf.Aggregate) []byte {
+func appendRangeResponse(buf []byte, cube string, a dwarf.Aggregate, failed []string) []byte {
 	w := jw{buf: buf}
 	w.open('{')
 	w.key("aggregate")
 	w.agg(a)
 	w.key("cube")
 	w.str(cube)
-	w.close('}')
-	return w.done()
+	return w.end(failed)
 }
 
 // appendGroupByResponse emits the /query/groupby envelope, streaming the
 // page's rows straight out of the kernel's group map in pageKeys order —
 // no intermediate per-row containers.
 func appendGroupByResponse(buf []byte, cube, dim string, pageKeys []string,
-	groups map[string]dwarf.Aggregate, total, offset, limit int, truncated bool) []byte {
+	groups map[string]dwarf.Aggregate, total, offset, limit int, truncated bool, failed []string) []byte {
 
 	w := jw{buf: buf}
 	w.open('{')
@@ -304,8 +315,7 @@ func appendGroupByResponse(buf []byte, cube, dim string, pageKeys []string,
 	w.int(int64(total))
 	w.key("truncated")
 	w.boolean(truncated)
-	w.close('}')
-	return w.done()
+	return w.end(failed)
 }
 
 // key2 is key for dynamic (escaping-required) object keys like group names.
@@ -318,7 +328,7 @@ func (w *jw) key2(name string) {
 // appendTopKResponse emits the /query/topk envelope, streaming the page's
 // entries directly.
 func appendTopKResponse(buf []byte, cube, dim string, by dwarf.Metric,
-	entries []dwarf.GroupEntry, total, offset, limit int, truncated bool) []byte {
+	entries []dwarf.GroupEntry, total, offset, limit int, truncated bool, failed []string) []byte {
 
 	w := jw{buf: buf}
 	w.open('{')
@@ -350,14 +360,13 @@ func appendTopKResponse(buf []byte, cube, dim string, by dwarf.Metric,
 	w.int(int64(total))
 	w.key("truncated")
 	w.boolean(truncated)
-	w.close('}')
-	return w.done()
+	return w.end(failed)
 }
 
 // appendRowsResponse emits the keyed-rows envelope shared by /query/rollup
 // and /query/pivot: one {"keys": […], "aggregate": …} object per page row.
 func appendRowsResponse(buf []byte, cube string, dims []string,
-	rows []dwarf.PivotGroup, total, offset, limit int, truncated bool) []byte {
+	rows []dwarf.PivotGroup, total, offset, limit int, truncated bool, failed []string) []byte {
 
 	w := jw{buf: buf}
 	w.open('{')
@@ -385,8 +394,7 @@ func appendRowsResponse(buf []byte, cube string, dims []string,
 	w.int(int64(total))
 	w.key("truncated")
 	w.boolean(truncated)
-	w.close('}')
-	return w.done()
+	return w.end(failed)
 }
 
 // appendStatsResponse emits the /stats envelope.
@@ -468,14 +476,17 @@ func appendCubesResponse(buf []byte, dir string, cubes []cubeInfo,
 	return w.done()
 }
 
-// appendIngestResponse emits the /ingest acknowledgement envelope.
-func appendIngestResponse(buf []byte, appended, total int) []byte {
+// appendIngestResponse emits the /ingest acknowledgement envelope; the
+// total is included only when the backend counts its tuples.
+func appendIngestResponse(buf []byte, appended, total int, counted bool) []byte {
 	w := jw{buf: buf}
 	w.open('{')
 	w.key("appended")
 	w.int(int64(appended))
-	w.key("total_tuples")
-	w.int(int64(total))
+	if counted {
+		w.key("total_tuples")
+		w.int(int64(total))
+	}
 	w.close('}')
 	return w.done()
 }
@@ -551,10 +562,6 @@ func appendStoreStatsResponse(buf []byte, cube string, st cubestore.Stats) []byt
 	w.int(st.Compactions)
 	w.key("appended")
 	w.int(st.Appended)
-	w.key("streaming_compactions")
-	w.int(st.StreamingCompactions)
-	w.key("fallback_compactions")
-	w.int(st.FallbackCompactions)
 	w.key("cache_hits")
 	w.int(st.CacheHits)
 	w.key("cache_misses")

@@ -16,8 +16,8 @@ import (
 	"repro/internal/dwarf"
 )
 
-// encodeReflect is the reference encoder: exactly what writeJSON puts on
-// the wire for v.
+// encodeReflect is the reference encoder: indented encoding/json, the
+// format every append encoder reproduces byte for byte.
 func encodeReflect(t *testing.T, v any) []byte {
 	t.Helper()
 	var sb bytes.Buffer
@@ -27,6 +27,10 @@ func encodeReflect(t *testing.T, v any) []byte {
 		t.Fatalf("reference encode: %v", err)
 	}
 	return sb.Bytes()
+}
+
+func toAggJSON(a dwarf.Aggregate) aggJSON {
+	return aggJSON{Sum: a.Sum, Count: a.Count, Min: a.Min, Max: a.Max, Avg: a.Avg()}
 }
 
 // nastyStrings exercises every escaping branch: quotes, backslashes,
@@ -152,15 +156,23 @@ func TestEnvelopeEncodersDifferential(t *testing.T) {
 		check("error", appendErrorResponse(nil, msg), errorResponse{Error: msg})
 	}
 
-	check("point nil keys", appendPointResponse(nil, "c", nil, agg),
+	check("point nil keys", appendPointResponse(nil, "c", nil, agg, nil),
 		pointResponse{Aggregate: toAggJSON(agg), Cube: "c", Keys: nil})
-	check("point empty keys", appendPointResponse(nil, "c", []string{}, agg),
+	check("point empty keys", appendPointResponse(nil, "c", []string{}, agg, nil),
 		pointResponse{Aggregate: toAggJSON(agg), Cube: "c", Keys: []string{}})
-	check("point nasty", appendPointResponse(nil, nastyStrings[6], nastyStrings, agg2),
+	check("point nasty", appendPointResponse(nil, nastyStrings[6], nastyStrings, agg2, nil),
 		pointResponse{Aggregate: toAggJSON(agg2), Cube: nastyStrings[6], Keys: nastyStrings})
+	failed := []string{"http://10.0.0.2:8080", `http://<weird>"node"`}
+	mark := partialMark{Partial: true, FailedNodes: failed}
+	check("point partial", appendPointResponse(nil, "", []string{"a"}, agg, failed),
+		pointResponse{Aggregate: toAggJSON(agg), Cube: "", Keys: []string{"a"}, partialMark: mark})
+	check("point no failed nodes", appendPointResponse(nil, "c", nil, agg, []string{}),
+		pointResponse{Aggregate: toAggJSON(agg), Cube: "c"})
 
-	check("range", appendRangeResponse(nil, "cube<&>", agg),
+	check("range", appendRangeResponse(nil, "cube<&>", agg, nil),
 		rangeResponse{Aggregate: toAggJSON(agg), Cube: "cube<&>"})
+	check("range partial", appendRangeResponse(nil, "", agg, failed),
+		rangeResponse{Aggregate: toAggJSON(agg), partialMark: mark})
 
 	groups := map[string]dwarf.Aggregate{
 		"north": agg, "south": agg2, `we"st`: {Sum: 7, Count: 1, Min: 7, Max: 7},
@@ -170,24 +182,30 @@ func TestEnvelopeEncodersDifferential(t *testing.T) {
 	for _, k := range pageKeys {
 		refGroups[k] = toAggJSON(groups[k])
 	}
-	check("groupby", appendGroupByResponse(nil, "c", "Region", pageKeys, groups, 9, 2, 3, true),
+	check("groupby", appendGroupByResponse(nil, "c", "Region", pageKeys, groups, 9, 2, 3, true, nil),
 		groupByResponse{Cube: "c", Dim: "Region", Groups: refGroups,
 			Limit: 3, Offset: 2, TotalGroups: 9, Truncated: true})
-	check("groupby empty", appendGroupByResponse(nil, "c", "Region", nil, nil, 0, 5, 3, false),
+	check("groupby empty", appendGroupByResponse(nil, "c", "Region", nil, nil, 0, 5, 3, false, nil),
 		groupByResponse{Cube: "c", Dim: "Region", Groups: map[string]aggJSON{},
 			Limit: 3, Offset: 5, TotalGroups: 0, Truncated: false})
+	check("groupby partial", appendGroupByResponse(nil, "c", "Region", pageKeys, groups, 3, 0, 3, false, failed),
+		groupByResponse{Cube: "c", Dim: "Region", Groups: refGroups,
+			Limit: 3, Offset: 0, TotalGroups: 3, partialMark: mark})
 
 	entries := []dwarf.GroupEntry{{Key: "bike", Agg: agg}, {Key: "<car>", Agg: agg2}}
 	refEntries := []entryJSON{
 		{Key: "bike", Metric: dwarf.ByAvg.Of(agg), Aggregate: toAggJSON(agg)},
 		{Key: "<car>", Metric: dwarf.ByAvg.Of(agg2), Aggregate: toAggJSON(agg2)},
 	}
-	check("topk", appendTopKResponse(nil, "c", "Kind", dwarf.ByAvg, entries, 5, 0, 2, true),
+	check("topk", appendTopKResponse(nil, "c", "Kind", dwarf.ByAvg, entries, 5, 0, 2, true, nil),
 		topKResponse{By: "avg", Cube: "c", Dim: "Kind", Entries: refEntries,
 			Limit: 2, Offset: 0, TotalEntries: 5, Truncated: true})
-	check("topk empty", appendTopKResponse(nil, "c", "Kind", dwarf.BySum, nil, 0, 0, 10, false),
+	check("topk empty", appendTopKResponse(nil, "c", "Kind", dwarf.BySum, nil, 0, 0, 10, false, nil),
 		topKResponse{By: "sum", Cube: "c", Dim: "Kind", Entries: []entryJSON{},
 			Limit: 10, Offset: 0, TotalEntries: 0, Truncated: false})
+	check("topk partial", appendTopKResponse(nil, "c", "Kind", dwarf.ByAvg, entries, 5, 0, 2, true, failed),
+		topKResponse{By: "avg", Cube: "c", Dim: "Kind", Entries: refEntries,
+			Limit: 2, Offset: 0, TotalEntries: 5, Truncated: true, partialMark: mark})
 
 	rows := []dwarf.PivotGroup{
 		{Keys: []string{"d1", "north"}, Agg: agg},
@@ -197,12 +215,16 @@ func TestEnvelopeEncodersDifferential(t *testing.T) {
 		{Keys: rows[0].Keys, Aggregate: toAggJSON(agg)},
 		{Keys: rows[1].Keys, Aggregate: toAggJSON(agg2)},
 	}
-	check("rows", appendRowsResponse(nil, "c", []string{"Day", "Region"}, rows, 7, 1, 2, true),
+	check("rows", appendRowsResponse(nil, "c", []string{"Day", "Region"}, rows, 7, 1, 2, true, nil),
 		rowsResponse{Cube: "c", Dims: []string{"Day", "Region"}, Groups: refRows,
 			Limit: 2, Offset: 1, TotalGroups: 7, Truncated: true})
-	check("rows empty nil dims", appendRowsResponse(nil, "c", nil, nil, 0, 0, 4, false),
+	check("rows empty nil dims", appendRowsResponse(nil, "c", nil, nil, 0, 0, 4, false, nil),
 		rowsResponse{Cube: "c", Dims: nil, Groups: []rowJSON{},
 			Limit: 4, Offset: 0, TotalGroups: 0, Truncated: false})
+	check("rows partial", appendRowsResponse(nil, "c", []string{"Day", "Region"}, rows, 7, 1, 2, true, failed[:1]),
+		rowsResponse{Cube: "c", Dims: []string{"Day", "Region"}, Groups: refRows,
+			Limit: 2, Offset: 1, TotalGroups: 7, Truncated: true,
+			partialMark: partialMark{Partial: true, FailedNodes: failed[:1]}})
 
 	st := dwarf.Stats{Nodes: 12, Cells: 30, AllCells: 12, SourceTuples: 5}
 	check("stats", appendStatsResponse(nil, "c.dwarf", []string{"Day", "Region"}, 5, true, 999, st),
@@ -223,8 +245,11 @@ func TestEnvelopeEncodersDifferential(t *testing.T) {
 	check("cubes no live", appendCubesResponse(nil, "", []cubeInfo{}, []CacheInfo{}, "", false),
 		cubesResponse{Cache: []CacheInfo{}, Cubes: []cubeInfo{}, Dir: ""})
 
-	check("ingest", appendIngestResponse(nil, 128, 4096),
-		ingestResponse{Appended: 128, TotalTuples: 4096})
+	total := 4096
+	check("ingest", appendIngestResponse(nil, 128, total, true),
+		ingestResponse{Appended: 128, TotalTuples: &total})
+	check("ingest uncounted", appendIngestResponse(nil, 128, 0, false),
+		ingestResponse{Appended: 128})
 
 	sstats := cubestore.Stats{
 		Dims:         []string{"Day", "Region", "Kind"},
@@ -232,7 +257,6 @@ func TestEnvelopeEncodersDifferential(t *testing.T) {
 		SealedTuples: 100, LiveTuples: 3, TotalTuples: 103,
 		SealedBytes: 2048, WALGen: 4, Generation: 17, WALBytes: 96,
 		Seals: 2, Compactions: 1, Appended: 103,
-		StreamingCompactions: 1, FallbackCompactions: 0,
 		CacheHits: 40, CacheMisses: 2, CachePartialHits: 120, CachePartialMisses: 6,
 		CacheBytes: 1 << 16, CacheEntries: 9, RollupHits: 13,
 		GroupCommits: 42, FsyncsSaved: 61,
@@ -257,59 +281,91 @@ func TestEnvelopeEncodersDifferential(t *testing.T) {
 		storeStatsResponse{Cube: "live", Stats: sstats})
 }
 
-// TestModesByteIdentical replays one request battery against two servers
-// over the same cube directory — append encoders vs Options.ReflectJSON —
-// and requires byte-identical status and body for every exchange.
+// responseFor returns a fresh instance of the typed response struct an
+// endpoint's body decodes into: the error envelope for any non-200 status.
+func responseFor(t *testing.T, path string, status int) any {
+	t.Helper()
+	if status != http.StatusOK {
+		return new(errorResponse)
+	}
+	path, query, _ := strings.Cut(path, "?")
+	switch path {
+	case "/cubes":
+		return new(cubesResponse)
+	case "/query/point":
+		return new(pointResponse)
+	case "/query/range":
+		return new(rangeResponse)
+	case "/query/groupby":
+		return new(groupByResponse)
+	case "/query/topk":
+		return new(topKResponse)
+	case "/query/pivot", "/query/rollup":
+		return new(rowsResponse)
+	case "/stats":
+		if strings.Contains(query, "cube=live") {
+			return new(storeStatsResponse)
+		}
+		return new(statsResponse)
+	case "/store/stats":
+		return new(storeStatsResponse)
+	case "/ingest":
+		return new(ingestResponse)
+	}
+	t.Fatalf("no response type for %s", path)
+	return nil
+}
+
+// checkWire is the generic wire oracle: it decodes a served body into the
+// endpoint's typed response struct, rejecting unknown fields, re-marshals
+// it with indented encoding/json, and requires the same bytes — field
+// order, escaping, number formatting and whitespace included.
+func checkWire(t *testing.T, path string, status int, body []byte) {
+	t.Helper()
+	ref := responseFor(t, path, status)
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(ref); err != nil {
+		t.Fatalf("%s (%d): body does not decode into %T: %v\n%s", path, status, ref, err, body)
+	}
+	if want := encodeReflect(t, ref); !bytes.Equal(body, want) {
+		t.Fatalf("%s (%d): body differs from the encoding/json oracle\n got: %q\nwant: %q", path, status, body, want)
+	}
+}
+
+// TestModesByteIdentical replays one request battery — every endpoint,
+// paging, the extensionless alias and the 400/404/413/502 error paths —
+// and holds every response to the encoding/json oracle (checkWire).
 func TestModesByteIdentical(t *testing.T) {
 	dir, _, _ := serveFixture(t, 4)
-	fast, err := New(Options{Dir: dir})
+	srv, err := New(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := New(Options{Dir: dir, ReflectJSON: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsFast := httptest.NewServer(fast.Handler())
-	defer tsFast.Close()
-	tsSlow := httptest.NewServer(slow.Handler())
-	defer tsSlow.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
 
-	do := func(method, path, body string) (int, string) {
+	do := func(method, path, body string) int {
 		t.Helper()
-		var status int
-		var bodies [2]string
-		for i, ts := range []*httptest.Server{tsFast, tsSlow} {
-			var resp *http.Response
-			var err error
-			if method == http.MethodGet {
-				resp, err = http.Get(ts.URL + path)
-			} else {
-				resp, err = http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-			}
-			if err != nil {
-				t.Fatalf("%s %s: %v", method, path, err)
-			}
-			b, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatalf("%s %s: read: %v", method, path, err)
-			}
-			if i == 0 {
-				status = resp.StatusCode
-			} else if resp.StatusCode != status {
-				t.Fatalf("%s %s: status fast=%d reflect=%d", method, path, status, resp.StatusCode)
-			}
-			bodies[i] = string(b)
+		var resp *http.Response
+		var err error
+		if method == http.MethodGet {
+			resp, err = http.Get(ts.URL + path)
+		} else {
+			resp, err = http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		}
-		if bodies[0] != bodies[1] {
-			t.Fatalf("%s %s: body mismatch\nfast:    %q\nreflect: %q", method, path, bodies[0], bodies[1])
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
 		}
-		return status, bodies[0]
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s %s: read: %v", method, path, err)
+		}
+		checkWire(t, path, resp.StatusCode, b)
+		return resp.StatusCode
 	}
 
-	// /cubes first, while both caches are empty (loaded_at timestamps would
-	// otherwise differ between the two servers).
 	do(http.MethodGet, "/cubes", "")
 
 	do(http.MethodGet, "/query/point?cube=indexed&key=d1&key=north&key=bike", "")
@@ -320,6 +376,7 @@ func TestModesByteIdentical(t *testing.T) {
 	do(http.MethodGet, "/query/point?cube=junk&key=a&key=b&key=c", "")
 	do(http.MethodPost, "/query/point", `{"cube":"indexed","keys":["*","*","bike"]}`)
 	do(http.MethodPost, "/query/point", `{bad json`)
+	do(http.MethodPost, "/query/point", `{"cube":"indexed","keys":["*","*","*"],"allow_partial":true}`)
 
 	do(http.MethodPost, "/query/range", `{"cube":"indexed","selectors":[{"lo":"d1","hi":"d2"}]}`)
 	do(http.MethodPost, "/query/groupby", `{"cube":"indexed","dim":"Region"}`)
@@ -330,11 +387,11 @@ func TestModesByteIdentical(t *testing.T) {
 	do(http.MethodPost, "/query/pivot", `{"cube":"indexed","dims":["Region","Kind"]}`)
 	do(http.MethodPost, "/query/pivot", `{"cube":"indexed","dims":[]}`)
 	do(http.MethodGet, "/stats?cube=indexed", "")
+	do(http.MethodGet, "/cubes", "") // now with a populated hot cache
 
-	// Oversized body: clean 413 from both paths.
+	// Oversized body: a clean 413 in the error envelope.
 	big := `{"cube":"indexed","keys":["` + strings.Repeat("x", maxQueryBodyBytes+16) + `"]}`
-	status, _ := do(http.MethodPost, "/query/point", big)
-	if status != http.StatusRequestEntityTooLarge {
+	if status := do(http.MethodPost, "/query/point", big); status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413", status)
 	}
 }
@@ -386,13 +443,13 @@ func TestEncoderAllocs(t *testing.T) {
 		name string
 		emit func() []byte
 	}{
-		{"point", func() []byte { return appendPointResponse(buf, "indexed", keys, agg) }},
-		{"range", func() []byte { return appendRangeResponse(buf, "indexed", agg) }},
+		{"point", func() []byte { return appendPointResponse(buf, "indexed", keys, agg, nil) }},
+		{"range", func() []byte { return appendRangeResponse(buf, "indexed", agg, nil) }},
 		{"error", func() []byte { return appendErrorResponse(buf, "cube not found") }},
 		{"groupby-100", func() []byte {
-			return appendGroupByResponse(buf, "indexed", "Region", pageKeys, groups, 100, 0, 100, false)
+			return appendGroupByResponse(buf, "indexed", "Region", pageKeys, groups, 100, 0, 100, false, nil)
 		}},
-		{"ingest", func() []byte { return appendIngestResponse(buf, 10, 20) }},
+		{"ingest", func() []byte { return appendIngestResponse(buf, 10, 20, true) }},
 	}
 	for _, tc := range cases {
 		if n := testing.AllocsPerRun(200, func() { tc.emit() }); n != 0 {
@@ -403,8 +460,9 @@ func TestEncoderAllocs(t *testing.T) {
 
 // TestHandlerAllocsPoint bounds the full handler path for a GET point query
 // (mux dispatch, query-string parse, cache hit, stat revalidation, encode,
-// pooled buffer). The legacy reflection path costs ~10x the canonical
-// bound; creep back toward it fails here before it shows up in a benchmark.
+// pooled buffer). The reflection encoder this replaced cost ~10x the
+// canonical bound; creep back toward it fails here before it shows up in a
+// benchmark.
 func TestHandlerAllocsPoint(t *testing.T) {
 	dir, _, _ := serveFixture(t, 4)
 	s, err := New(Options{Dir: dir})

@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// refPointQuery restates the legacy GET /query/point parameter parse —
+// refPointQuery is the GET /query/point parameter parse written over
 // url.ParseQuery with its partial-result-on-error behavior (exactly what
-// r.URL.Query() hands legacyPointQuery), cube = first value, key = every
-// value in order, keys = CSV fallback when no key params and non-empty.
-// It is the oracle the zero-allocation parsePointQuery must match.
+// r.URL.Query() returns): cube = first value, key = every value in order,
+// keys = CSV fallback when no key params and non-empty. It is the oracle
+// the zero-allocation parsePointQuery must match.
 func refPointQuery(rawQuery string) (cube string, keys []string) {
 	q, _ := url.ParseQuery(rawQuery)
 	cube = q.Get("cube")

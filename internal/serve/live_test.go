@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/cubestore"
 	"repro/internal/dwarf"
@@ -158,10 +159,25 @@ func TestLiveServeEndToEnd(t *testing.T) {
 	}
 
 	// Seals and compactions really happened underneath the HTTP traffic.
+	// Both run on the store's background goroutines, so the last ack can
+	// land before they do: wait for them, bounded, instead of racing them.
+	deadline := time.Now().Add(10 * time.Second)
 	st := store.Stats()
+	for (st.Seals == 0 || st.Compactions == 0) && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		st = store.Stats()
+	}
 	if st.Seals == 0 || st.Compactions == 0 {
 		t.Fatalf("expected live seals and compactions during ingest, got %+v", st)
 	}
+	// The answer survives the maintenance that just landed.
+	ref, err := dwarf.New(dims, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := getJSON(t, ts.URL+"/query/point?cube=live&key=*&key=*&key=*", 200)
+	want, _ := ref.Point(dwarf.All, dwarf.All, dwarf.All)
+	wantAgg(t, aggOf(t, got, "aggregate"), want, "ALL point after maintenance")
 
 	// /store/stats and /stats?cube=live expose the store.
 	for _, url := range []string{ts.URL + "/store/stats", ts.URL + "/stats?cube=live"} {

@@ -31,94 +31,73 @@ type partialRequest struct {
 	Selectors []selectorSpec `json:"selectors,omitempty"` // range/groupby/pivot
 }
 
-func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, badRequest("POST a JSON body to /query/partial"))
-		return
-	}
+func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) error {
 	var req partialRequest
 	if err := decodeBody(w, r, &req, maxQueryBodyBytes); err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	v, err := s.source(req.Cube)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	// The generation is read BEFORE the query, like the store's own cache
 	// stamps: a write racing the query leaves the stamp older than the
 	// data, never newer, so a coordinator comparing stamps across retries
 	// can only under-claim freshness.
 	var gen uint64
-	if s.store != nil && req.Cube == s.liveName {
-		gen = s.store.Generation()
+	if g, ok := v.(generationer); ok {
+		gen = g.Generation()
 	}
-	buf := getBuf()
-	switch req.Shape {
-	case "point":
+	if req.Shape == "point" {
 		agg, err := v.Point(req.Keys...)
 		if err != nil {
-			putBuf(buf)
-			s.fail(w, err)
-			return
+			return err
 		}
-		*buf = appendPartialAggResponse((*buf)[:0], gen, agg)
+		return sendPartial(w, appendPartialAggResponse, gen, agg)
+	}
+	sels, err := s.selectors(v, req.Selectors, "")
+	if err != nil {
+		return err
+	}
+	switch req.Shape {
 	case "range":
-		sels, err := selectors(req.Selectors, v.NumDims())
-		if err == nil {
-			var agg dwarf.Aggregate
-			if agg, err = v.Range(sels); err == nil {
-				*buf = appendPartialAggResponse((*buf)[:0], gen, agg)
-			}
-		}
+		agg, err := v.Range(sels)
 		if err != nil {
-			putBuf(buf)
-			s.fail(w, err)
-			return
+			return err
 		}
+		return sendPartial(w, appendPartialAggResponse, gen, agg)
 	case "groupby":
 		dim, err := dimIndex(v, req.Dim)
-		var groups map[string]dwarf.Aggregate
-		if err == nil {
-			var sels []dwarf.Selector
-			if sels, err = selectors(req.Selectors, v.NumDims()); err == nil {
-				groups, err = v.GroupBy(dim, sels)
-			}
-		}
 		if err != nil {
-			putBuf(buf)
-			s.fail(w, err)
-			return
+			return err
 		}
-		*buf = appendPartialGroupsResponse((*buf)[:0], gen, groups)
+		groups, err := v.GroupBy(dim, sels)
+		if err != nil {
+			return err
+		}
+		return sendPartial(w, appendPartialGroupsResponse, gen, groups)
 	case "pivot":
 		dims := make([]int, len(req.Dims))
-		var err error
 		for i, d := range req.Dims {
 			if dims[i], err = dimIndex(v, d); err != nil {
-				break
+				return err
 			}
 		}
-		var rows []dwarf.PivotGroup
-		if err == nil {
-			var sels []dwarf.Selector
-			if sels, err = selectors(req.Selectors, v.NumDims()); err == nil {
-				rows, err = v.Pivot(dims, sels)
-			}
-		}
+		rows, err := v.Pivot(dims, sels)
 		if err != nil {
-			putBuf(buf)
-			s.fail(w, err)
-			return
+			return err
 		}
-		*buf = appendPartialRowsResponse((*buf)[:0], gen, rows)
-	default:
-		putBuf(buf)
-		s.fail(w, badRequest("unknown partial shape %q (want point, range, groupby or pivot)", req.Shape))
-		return
+		return sendPartial(w, appendPartialRowsResponse, gen, rows)
 	}
+	return badRequest("unknown partial shape %q (want point, range, groupby or pivot)", req.Shape)
+}
+
+// sendPartial encodes one partial envelope into a pooled buffer and sends it.
+func sendPartial[T any](w http.ResponseWriter, appendResp func([]byte, uint64, T) []byte, gen uint64, v T) error {
+	buf := getBuf()
+	*buf = appendResp((*buf)[:0], gen, v)
 	send(w, http.StatusOK, buf)
+	return nil
 }
 
 // appendPartialAggResponse emits the point/range partial envelope.

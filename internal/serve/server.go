@@ -21,12 +21,24 @@
 // (zero-copy CubeView) and the live store, so every endpoint works on both.
 //
 // With Options.Store set the server also runs in live mode: the reserved
-// cube name "live" (Options.LiveName) routes every /query/* shape to the
-// cubestore — fanning out over sealed segments plus the memtable, so
-// answers reflect every acknowledged tuple — and two more endpoints appear:
+// cube name "live" (Options.LiveName) routes every /query/* shape to that
+// Backend — a cubestore, fanning out over sealed segments plus the
+// memtable so answers reflect every acknowledged tuple, or a cluster
+// coordinator scatter-gathering over dwarfd nodes — and more endpoints
+// appear:
 //
 //	POST /ingest                    {"tuples":[{"dims":[…],"measure":…},…]}
 //	GET  /store/stats               segment inventory, WAL position, counters
+//	                                (backends that report cubestore.Stats)
+//
+// A server with no cube directory serves only the backend, so there the
+// "cube" parameter may be omitted.
+//
+// Query requests to a backend that can answer from a subset of its parts
+// (a cluster) may set "allow_partial": true. A failed part then no longer
+// fails the query: the answer covers the parts that responded and appends
+// "partial": true and "failed_nodes": […] to the envelope. Without the
+// flag such a failure is a 502 naming the failed parts.
 //
 // A selector is {"keys":[…]} for an explicit set, {"lo":…,"hi":…} for an
 // inclusive range, or {} (or omitted trailing entries) for ALL.
@@ -41,12 +53,9 @@
 //
 // Responses are produced by the hand-rolled appenders in encode.go —
 // pooled buffers, no reflection, paged rows streamed straight out of the
-// kernel's results. Options.ReflectJSON instead routes every response
-// through the original serving path preserved verbatim in legacy.go
-// (map[string]any envelopes + indented encoding/json); output is
-// byte-identical either way, pinned by the differential suite in
-// encode_test.go. The toggle exists for before/after benchmarking and as
-// an escape hatch. See docs/SERVING.md for the encoding contract.
+// kernel's results — byte-identical to indented encoding/json over the
+// typed *Response structs below, which the test suite uses as its oracle.
+// See docs/SERVING.md for the encoding contract.
 package serve
 
 import (
@@ -96,20 +105,15 @@ type Options struct {
 	// CacheSize caps the hot-view LRU (DefaultCacheSize when zero).
 	CacheSize int
 	// Store, when set, enables live mode: /ingest appends to it and the
-	// LiveName cube answers queries over it.
-	Store *cubestore.Store
+	// LiveName cube answers queries over it. A *cubestore.Store or a
+	// *cluster.Coordinator.
+	Store Backend
 	// LiveName is the reserved cube name for the live store
 	// (DefaultLiveName when empty).
 	LiveName string
 	// GroupLimit caps the groups per keyed-query response
 	// (DefaultGroupLimit when zero).
 	GroupLimit int
-	// ReflectJSON routes responses through the original reflection-based
-	// serving path (legacy.go: map envelopes + encoding/json) instead of
-	// the append encoders in encode.go. Output is byte-identical either
-	// way; the toggle exists so the benchmark harness can measure the old
-	// path and as an operational escape hatch.
-	ReflectJSON bool
 	// ClusterNode additionally mounts POST /query/partial — the compact,
 	// unpaged per-node wire format a cluster coordinator scatter-gathers
 	// over (internal/cluster, docs/CLUSTER.md). Off by default: partial
@@ -130,15 +134,34 @@ type Options struct {
 	Now func() time.Time
 }
 
+// Backend is what live mode serves: the shared query surface plus
+// appends. Anything more a backend offers is an optional capability the
+// server detects by type assertion: TotalTuples for the ingest ack,
+// cubestore Stats for /store/stats, Generation for the cluster-node
+// partial wire, and AllowPartial for "allow_partial" requests.
+type Backend interface {
+	query.Querier
+	Append([]dwarf.Tuple) error
+}
+
+// Optional Backend capabilities.
+type (
+	tupleCounter interface{ TotalTuples() int }
+	storeStatser interface{ Stats() cubestore.Stats }
+	generationer interface{ Generation() uint64 }
+	// partialAnswerer returns a one-request view that answers over the
+	// backend's reachable parts and names the failed ones.
+	partialAnswerer interface{ AllowPartial() query.Partial }
+)
+
 // Server answers cube queries over HTTP straight off encoded cube files
-// and, in live mode, straight off a cubestore.
+// and, in live mode, straight off a Backend.
 type Server struct {
 	dir         string
 	cache       *viewCache
-	store       *cubestore.Store
+	store       Backend
 	liveName    string
 	groupLimit  int
-	reflectJSON bool
 	clusterNode bool
 	timeDim     string
 	timeLayout  string
@@ -182,8 +205,7 @@ func New(opts Options) (*Server, error) {
 	return &Server{
 		dir: opts.Dir, cache: newViewCache(size),
 		store: opts.Store, liveName: liveName, groupLimit: limit,
-		reflectJSON: opts.ReflectJSON, clusterNode: opts.ClusterNode,
-		timeDim: opts.TimeDim, timeLayout: opts.TimeLayout, now: now,
+		clusterNode: opts.ClusterNode, timeDim: opts.TimeDim, timeLayout: opts.TimeLayout, now: now,
 	}, nil
 }
 
@@ -193,7 +215,7 @@ func New(opts Options) (*Server, error) {
 // misspelled -warm argument should stop the process, not serve cold.
 func (s *Server) Warm(names []string) error {
 	for _, name := range names {
-		if s.store != nil && name == s.liveName {
+		if s.isLive(name) {
 			continue
 		}
 		if _, err := s.view(name); err != nil {
@@ -228,23 +250,33 @@ func ListenAndServe(addr string, opts Options) error {
 	return NewHTTPServer(addr, s.Handler()).ListenAndServe()
 }
 
-// Handler returns the server's route table.
+// Handler returns the server's route table. Handlers return their error,
+// and one wrapper writes it as the error envelope with its mapped status.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/cubes", s.handleCubes)
-	mux.HandleFunc("/query/point", s.handlePoint)
-	mux.HandleFunc("/query/range", s.handleRange)
-	mux.HandleFunc("/query/groupby", s.handleGroupBy)
-	mux.HandleFunc("/query/pivot", s.handlePivot)
-	mux.HandleFunc("/query/topk", s.handleTopK)
-	mux.HandleFunc("/query/rollup", s.handleRollUp)
-	mux.HandleFunc("/stats", s.handleStats)
+	route := func(pattern string, h func(http.ResponseWriter, *http.Request) error) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			if err := h(w, r); err != nil {
+				s.fail(w, err)
+			}
+		})
+	}
+	route("/cubes", s.handleCubes)
+	route("/query/point", s.handlePoint)
+	route("/query/range", s.handleRange)
+	route("/query/groupby", s.handleGroupBy)
+	route("/query/pivot", s.handlePivot)
+	route("/query/topk", s.handleTopK)
+	route("/query/rollup", s.handleRollUp)
+	route("/stats", s.handleStats)
 	if s.clusterNode {
-		mux.HandleFunc("/query/partial", s.handlePartial)
+		route("/query/partial", s.handlePartial)
 	}
 	if s.store != nil {
-		mux.HandleFunc("/ingest", s.handleIngest)
-		mux.HandleFunc("/store/stats", s.handleStoreStats)
+		route("/ingest", s.handleIngest)
+	}
+	if _, ok := s.store.(storeStatser); ok {
+		route("/store/stats", s.handleStoreStats)
 	}
 	return mux
 }
@@ -277,9 +309,10 @@ func errStatus(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, cubestore.ErrClosed):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, dwarf.ErrCorruptCube), errors.Is(err, dwarf.ErrBadMagic), errors.Is(err, dwarf.ErrBadVersion):
-		// The file on disk is not a servable cube: the client didn't err,
-		// the registry did.
+	case errors.Is(err, dwarf.ErrCorruptCube), errors.Is(err, dwarf.ErrBadMagic), errors.Is(err, dwarf.ErrBadVersion),
+		errors.Is(err, query.ErrUnavailable):
+		// The file on disk is not a servable cube, or a cluster node did
+		// not answer: the client didn't err, an upstream did.
 		return http.StatusBadGateway
 	}
 	return http.StatusInternalServerError
@@ -292,14 +325,9 @@ type errorResponse struct {
 
 // fail writes the error envelope with the mapped status.
 func (s *Server) fail(w http.ResponseWriter, err error) {
-	status := errStatus(err)
-	if s.reflectJSON {
-		s.legacyError(w, status, err)
-		return
-	}
 	buf := getBuf()
 	*buf = appendErrorResponse((*buf)[:0], err.Error())
-	send(w, status, buf)
+	send(w, errStatus(err), buf)
 }
 
 // jsonContentType is the shared Content-Type header value: assigning the
@@ -373,14 +401,54 @@ func (s *Server) view(name string) (*dwarf.CubeView, error) {
 	return s.cache.add(name, path, v, size, modTime), nil
 }
 
-// source resolves a cube name to its query target — the live store for the
-// reserved live name, a (cached) file-backed view otherwise — as the shared
-// engine surface (query.Querier) every /query/* handler is written against.
+// isLive reports whether a cube name addresses the backend: the reserved
+// live name, or no name at all on a server without a cube directory.
+func (s *Server) isLive(name string) bool {
+	return s.store != nil && (name == s.liveName || name == "" && s.dir == "")
+}
+
+// source resolves a cube name to its query target — the backend for the
+// live name, a (cached) file-backed view otherwise — as the shared engine
+// surface (query.Querier) every /query/* handler is written against.
 func (s *Server) source(name string) (query.Querier, error) {
-	if s.store != nil && name == s.liveName {
+	if s.isLive(name) {
 		return s.store, nil
 	}
 	return s.view(name)
+}
+
+// target is source for a query request: with allowPartial set it swaps in
+// the backend's partial-answer view, returned a second time so the handler
+// can read the failed parts after the query. Only a backend with parts to
+// lose (a cluster) offers one.
+func (s *Server) target(name string, allowPartial bool) (query.Querier, query.Partial, error) {
+	q, err := s.source(name)
+	if err != nil || !allowPartial {
+		return q, nil, err
+	}
+	pa, ok := q.(partialAnswerer)
+	if !ok {
+		return nil, nil, badRequest("allow_partial needs a cluster backend; cube %q answers completely or not at all", name)
+	}
+	p := pa.AllowPartial()
+	return p, p, nil
+}
+
+// failedParts lists the parts a partial-answer view is missing; nil for a
+// complete answer or a plain request.
+func failedParts(p query.Partial) []string {
+	if p == nil {
+		return nil
+	}
+	return p.Failed()
+}
+
+// partialMark is the explicit marking of an allow_partial answer missing
+// failed parts, appended last to a query envelope; a complete answer
+// carries neither field.
+type partialMark struct {
+	Partial     bool     `json:"partial,omitempty"`
+	FailedNodes []string `json:"failed_nodes,omitempty"`
 }
 
 // aggJSON is the wire form of an aggregate.
@@ -390,10 +458,6 @@ type aggJSON struct {
 	Min   float64 `json:"min"`
 	Max   float64 `json:"max"`
 	Avg   float64 `json:"avg"`
-}
-
-func toAggJSON(a dwarf.Aggregate) aggJSON {
-	return aggJSON{Sum: a.Sum, Count: a.Count, Min: a.Min, Max: a.Max, Avg: a.Avg()}
 }
 
 // selectorSpec is the wire form of a dwarf.Selector.
@@ -418,8 +482,9 @@ func (sp selectorSpec) selector(i int) (dwarf.Selector, error) {
 }
 
 // selectors pads missing trailing specs with ALL so clients can send only
-// the dimensions they restrict.
-func selectors(specs []selectorSpec, ndims int) ([]dwarf.Selector, error) {
+// the dimensions they restrict, then compiles a request's "window" in.
+func (s *Server) selectors(q query.Querier, specs []selectorSpec, win string) ([]dwarf.Selector, error) {
+	ndims := q.NumDims()
 	if len(specs) > ndims {
 		return nil, badRequest("got %d selectors, cube has %d dimensions", len(specs), ndims)
 	}
@@ -431,14 +496,15 @@ func selectors(specs []selectorSpec, ndims int) ([]dwarf.Selector, error) {
 		}
 		out[i] = sel
 	}
-	return out, nil
+	return out, s.applyWindow(q, out, win)
 }
 
 // applyWindow compiles a request's "window" duration into an inclusive
 // range selector [now-window, now] on the server's time dimension, in
-// place. The window composes with the other dimensions' selectors but
-// conflicts with an explicit selector on the time dimension itself — the
-// request is ambiguous, so it is rejected rather than silently merged.
+// place (a no-op without a window). The window composes with the other
+// dimensions' selectors but conflicts with an explicit selector on the
+// time dimension itself — the request is ambiguous, so it is rejected
+// rather than silently merged.
 func (s *Server) applyWindow(q query.Querier, sels []dwarf.Selector, win string) error {
 	if win == "" {
 		return nil
@@ -478,9 +544,13 @@ func parseWindow(win string) (time.Duration, error) {
 	return d, nil
 }
 
-// decodeBody decodes a bounded JSON request body. Bodies over limit map to
-// 413 (and net/http closes the connection); malformed JSON maps to 400.
+// decodeBody decodes a bounded JSON POST body; any other method is a 400.
+// Bodies over limit map to 413 (and net/http closes the connection);
+// malformed JSON maps to 400.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
+	if r.Method != http.MethodPost {
+		return badRequest("POST a JSON body to %s", r.URL.Path)
+	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -515,13 +585,12 @@ type cubesResponse struct {
 // handleCubes lists the registry: every cube file in the serving directory
 // plus the current hot cache, MRU first, plus the live cube when the server
 // fronts a store.
-func (s *Server) handleCubes(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCubes(w http.ResponseWriter, r *http.Request) error {
 	cubes := []cubeInfo{}
 	if s.dir != "" {
 		entries, err := os.ReadDir(s.dir)
 		if err != nil {
-			s.fail(w, err)
-			return
+			return err
 		}
 		for _, e := range entries {
 			if e.IsDir() || !strings.HasSuffix(e.Name(), ".dwarf") {
@@ -540,10 +609,6 @@ func (s *Server) handleCubes(w http.ResponseWriter, r *http.Request) {
 		}
 		sort.Slice(cubes, func(i, j int) bool { return cubes[i].Name < cubes[j].Name })
 	}
-	if s.reflectJSON {
-		s.legacyCubes(w, cubes)
-		return
-	}
 	live := ""
 	if s.store != nil {
 		live = s.liveName
@@ -551,6 +616,7 @@ func (s *Server) handleCubes(w http.ResponseWriter, r *http.Request) {
 	buf := getBuf()
 	*buf = appendCubesResponse((*buf)[:0], s.dir, cubes, s.cache.snapshot(), live, s.store != nil)
 	send(w, http.StatusOK, buf)
+	return nil
 }
 
 // fileHasTrailer peeks at the file's last bytes for the v2 trailer magic —
@@ -591,8 +657,9 @@ func fileHasTrailer(path string) bool {
 
 // pointRequest is the POST form of /query/point.
 type pointRequest struct {
-	Cube string   `json:"cube"`
-	Keys []string `json:"keys"`
+	Cube         string   `json:"cube"`
+	Keys         []string `json:"keys"`
+	AllowPartial bool     `json:"allow_partial,omitempty"`
 }
 
 // pointResponse is the /query/point envelope.
@@ -600,6 +667,7 @@ type pointResponse struct {
 	Aggregate aggJSON  `json:"aggregate"`
 	Cube      string   `json:"cube"`
 	Keys      []string `json:"keys"`
+	partialMark
 }
 
 // pointArgs is pooled scratch for the GET /query/point parameter parse, so
@@ -678,93 +746,75 @@ func unescapeQueryComponent(s string) (string, bool) {
 	return out, true
 }
 
-func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) error {
+	// The GET path keeps its fields in locals: a request struct would
+	// escape through decodeBody and cost the hot path an allocation.
 	var cube string
 	var keys []string
+	allowPartial := false
 	if r.Method == http.MethodPost {
 		var req pointRequest
 		if err := decodeBody(w, r, &req, maxQueryBodyBytes); err != nil {
-			s.fail(w, err)
-			return
+			return err
 		}
-		cube, keys = req.Cube, req.Keys
-	} else if s.reflectJSON {
-		cube, keys = legacyPointQuery(r)
+		cube, keys, allowPartial = req.Cube, req.Keys, req.AllowPartial
 	} else {
 		pa := pointArgsPool.Get().(*pointArgs)
 		defer pointArgsPool.Put(pa)
 		cube, keys = parsePointQuery(r.URL.RawQuery, pa)
 	}
-	v, err := s.source(cube)
+	v, partial, err := s.target(cube, allowPartial)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	agg, err := v.Point(keys...)
 	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if s.reflectJSON {
-		s.legacyPoint(w, cube, keys, agg)
-		return
+		return err
 	}
 	buf := getBuf()
-	*buf = appendPointResponse((*buf)[:0], cube, keys, agg)
+	*buf = appendPointResponse((*buf)[:0], cube, keys, agg, failedParts(partial))
 	send(w, http.StatusOK, buf)
+	return nil
 }
 
 // rangeRequest is the body of /query/range. Window, when set, is a
 // trailing-duration shorthand ("24h", "7d") compiled into a range selector
 // on the server's time dimension (Options.TimeDim).
 type rangeRequest struct {
-	Cube      string         `json:"cube"`
-	Selectors []selectorSpec `json:"selectors"`
-	Window    string         `json:"window,omitempty"`
+	Cube         string         `json:"cube"`
+	Selectors    []selectorSpec `json:"selectors"`
+	Window       string         `json:"window,omitempty"`
+	AllowPartial bool           `json:"allow_partial,omitempty"`
 }
 
 // rangeResponse is the /query/range envelope.
 type rangeResponse struct {
 	Aggregate aggJSON `json:"aggregate"`
 	Cube      string  `json:"cube"`
+	partialMark
 }
 
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, badRequest("POST a JSON body to /query/range"))
-		return
-	}
+func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) error {
 	var req rangeRequest
 	if err := decodeBody(w, r, &req, maxQueryBodyBytes); err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
-	v, err := s.source(req.Cube)
+	v, partial, err := s.target(req.Cube, req.AllowPartial)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
-	sels, err := selectors(req.Selectors, v.NumDims())
+	sels, err := s.selectors(v, req.Selectors, req.Window)
 	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if err := s.applyWindow(v, sels, req.Window); err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	agg, err := v.Range(sels)
 	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if s.reflectJSON {
-		s.legacyRange(w, req.Cube, agg)
-		return
+		return err
 	}
 	buf := getBuf()
-	*buf = appendRangeResponse((*buf)[:0], req.Cube, agg)
+	*buf = appendRangeResponse((*buf)[:0], req.Cube, agg, failedParts(partial))
 	send(w, http.StatusOK, buf)
+	return nil
 }
 
 // page bounds one keyed response: the requested offset into the result's
@@ -816,10 +866,11 @@ func dimIndex(q query.Querier, field string) (int, error) {
 // groupByRequest is the body of /query/groupby. Dim is a dimension name or
 // a 0-based index rendered as a string.
 type groupByRequest struct {
-	Cube      string         `json:"cube"`
-	Dim       string         `json:"dim"`
-	Selectors []selectorSpec `json:"selectors"`
-	Window    string         `json:"window,omitempty"`
+	Cube         string         `json:"cube"`
+	Dim          string         `json:"dim"`
+	Selectors    []selectorSpec `json:"selectors"`
+	Window       string         `json:"window,omitempty"`
+	AllowPartial bool           `json:"allow_partial,omitempty"`
 	page
 }
 
@@ -834,46 +885,33 @@ type groupByResponse struct {
 	Offset      int                `json:"offset"`
 	TotalGroups int                `json:"total_groups"`
 	Truncated   bool               `json:"truncated"`
+	partialMark
 }
 
-func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, badRequest("POST a JSON body to /query/groupby"))
-		return
-	}
+func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) error {
 	var req groupByRequest
 	if err := decodeBody(w, r, &req, maxQueryBodyBytes); err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
-	v, err := s.source(req.Cube)
+	v, partial, err := s.target(req.Cube, req.AllowPartial)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	dim, err := dimIndex(v, req.Dim)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	offset, limit, err := req.clamp(s.groupLimit)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
-	sels, err := selectors(req.Selectors, v.NumDims())
+	sels, err := s.selectors(v, req.Selectors, req.Window)
 	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if err := s.applyWindow(v, sels, req.Window); err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	groups, err := v.GroupBy(dim, sels)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	// The page windows over key-sorted order, so offsets are deterministic.
 	keys := make([]string, 0, len(groups))
@@ -882,28 +920,25 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(keys)
 	pageKeys, truncated := window(keys, offset, limit)
-	dimName := v.Dims()[dim]
-	if s.reflectJSON {
-		s.legacyGroupBy(w, req.Cube, dimName, pageKeys, groups, offset, limit, truncated)
-		return
-	}
 	buf := getBuf()
-	*buf = appendGroupByResponse((*buf)[:0], req.Cube, dimName, pageKeys, groups,
-		len(groups), offset, limit, truncated)
+	*buf = appendGroupByResponse((*buf)[:0], req.Cube, v.Dims()[dim], pageKeys, groups,
+		len(groups), offset, limit, truncated, failedParts(partial))
 	send(w, http.StatusOK, buf)
+	return nil
 }
 
 // topKRequest is the body of /query/topk. By is a metric name (sum, count,
 // min, max, avg; sum when empty); Threshold, when present, is the iceberg
 // floor applied before the K cut.
 type topKRequest struct {
-	Cube      string         `json:"cube"`
-	Dim       string         `json:"dim"`
-	Selectors []selectorSpec `json:"selectors"`
-	K         int            `json:"k"`
-	By        string         `json:"by"`
-	Threshold *float64       `json:"threshold"`
-	Window    string         `json:"window,omitempty"`
+	Cube         string         `json:"cube"`
+	Dim          string         `json:"dim"`
+	Selectors    []selectorSpec `json:"selectors"`
+	K            int            `json:"k"`
+	By           string         `json:"by"`
+	Threshold    *float64       `json:"threshold"`
+	Window       string         `json:"window,omitempty"`
+	AllowPartial bool           `json:"allow_partial,omitempty"`
 	page
 }
 
@@ -924,50 +959,36 @@ type topKResponse struct {
 	Offset       int         `json:"offset"`
 	TotalEntries int         `json:"total_entries"`
 	Truncated    bool        `json:"truncated"`
+	partialMark
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, badRequest("POST a JSON body to /query/topk"))
-		return
-	}
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) error {
 	var req topKRequest
 	if err := decodeBody(w, r, &req, maxQueryBodyBytes); err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
-	v, err := s.source(req.Cube)
+	v, partial, err := s.target(req.Cube, req.AllowPartial)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	dim, err := dimIndex(v, req.Dim)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	offset, limit, err := req.clamp(s.groupLimit)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	if req.K < 0 {
-		s.fail(w, badRequest("k must be non-negative"))
-		return
+		return badRequest("k must be non-negative")
 	}
 	by, err := dwarf.ParseMetric(req.By)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
-	sels, err := selectors(req.Selectors, v.NumDims())
+	sels, err := s.selectors(v, req.Selectors, req.Window)
 	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if err := s.applyWindow(v, sels, req.Window); err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	spec := dwarf.TopKSpec{K: req.K, By: by}
 	if req.Threshold != nil {
@@ -975,19 +996,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	entries, err := v.TopK(dim, sels, spec)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	pageEntries, truncated := window(entries, offset, limit)
-	dimName := v.Dims()[dim]
-	if s.reflectJSON {
-		s.legacyTopK(w, req.Cube, dimName, by, pageEntries, len(entries), offset, limit, truncated)
-		return
-	}
 	buf := getBuf()
-	*buf = appendTopKResponse((*buf)[:0], req.Cube, dimName, by, pageEntries,
-		len(entries), offset, limit, truncated)
+	*buf = appendTopKResponse((*buf)[:0], req.Cube, v.Dims()[dim], by, pageEntries,
+		len(entries), offset, limit, truncated, failedParts(partial))
 	send(w, http.StatusOK, buf)
+	return nil
 }
 
 // rowJSON is one keyed row in the /query/rollup and /query/pivot envelopes.
@@ -1006,112 +1022,90 @@ type rowsResponse struct {
 	Offset      int       `json:"offset"`
 	TotalGroups int       `json:"total_groups"`
 	Truncated   bool      `json:"truncated"`
+	partialMark
 }
 
-// writeRows emits the shared keyed-rows envelope for a page of pivot-shaped
-// results.
+// writeRows emits the shared keyed-rows envelope for one page of
+// pivot-shaped results.
 func (s *Server) writeRows(w http.ResponseWriter, cube string, dims []string,
-	rows []dwarf.PivotGroup, total, offset, limit int, truncated bool) {
+	rows []dwarf.PivotGroup, offset, limit int, failed []string) error {
 
-	if s.reflectJSON {
-		s.legacyRows(w, cube, dims, rows, total, offset, limit, truncated)
-		return
-	}
+	pageRows, truncated := window(rows, offset, limit)
 	buf := getBuf()
-	*buf = appendRowsResponse((*buf)[:0], cube, dims, rows, total, offset, limit, truncated)
+	*buf = appendRowsResponse((*buf)[:0], cube, dims, pageRows, len(rows), offset, limit, truncated, failed)
 	send(w, http.StatusOK, buf)
+	return nil
 }
 
 // rollUpRequest is the body of /query/rollup: the named dimensions to keep;
 // all others are aggregated away through their ALL cells.
 type rollUpRequest struct {
-	Cube string   `json:"cube"`
-	Keep []string `json:"keep"`
+	Cube         string   `json:"cube"`
+	Keep         []string `json:"keep"`
+	AllowPartial bool     `json:"allow_partial,omitempty"`
 	page
 }
 
-func (s *Server) handleRollUp(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, badRequest("POST a JSON body to /query/rollup"))
-		return
-	}
+func (s *Server) handleRollUp(w http.ResponseWriter, r *http.Request) error {
 	var req rollUpRequest
 	if err := decodeBody(w, r, &req, maxQueryBodyBytes); err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
-	v, err := s.source(req.Cube)
+	v, partial, err := s.target(req.Cube, req.AllowPartial)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	offset, limit, err := req.clamp(s.groupLimit)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	dims, rows, err := query.RollUp(v, req.Keep...)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
-	pageRows, truncated := window(rows, offset, limit)
-	s.writeRows(w, req.Cube, dims, pageRows, len(rows), offset, limit, truncated)
+	return s.writeRows(w, req.Cube, dims, rows, offset, limit, failedParts(partial))
 }
 
 // pivotRequest is the body of /query/pivot: the dimensions to group by
 // (names or 0-based indexes rendered as strings), in output-column order.
 type pivotRequest struct {
-	Cube      string         `json:"cube"`
-	Dims      []string       `json:"dims"`
-	Selectors []selectorSpec `json:"selectors"`
-	Window    string         `json:"window,omitempty"`
+	Cube         string         `json:"cube"`
+	Dims         []string       `json:"dims"`
+	Selectors    []selectorSpec `json:"selectors"`
+	Window       string         `json:"window,omitempty"`
+	AllowPartial bool           `json:"allow_partial,omitempty"`
 	page
 }
 
 // handlePivot is the multi-dimension group-by: one keyed row per distinct
 // combination over the requested dimensions, sorted by keys, paged like
 // rollup (whose envelope it shares).
-func (s *Server) handlePivot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, badRequest("POST a JSON body to /query/pivot"))
-		return
-	}
+func (s *Server) handlePivot(w http.ResponseWriter, r *http.Request) error {
 	var req pivotRequest
 	if err := decodeBody(w, r, &req, maxQueryBodyBytes); err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
-	v, err := s.source(req.Cube)
+	v, partial, err := s.target(req.Cube, req.AllowPartial)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	offset, limit, err := req.clamp(s.groupLimit)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	dims := make([]int, len(req.Dims))
 	for i, d := range req.Dims {
 		if dims[i], err = dimIndex(v, d); err != nil {
-			s.fail(w, err)
-			return
+			return err
 		}
 	}
-	sels, err := selectors(req.Selectors, v.NumDims())
+	sels, err := s.selectors(v, req.Selectors, req.Window)
 	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if err := s.applyWindow(v, sels, req.Window); err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	rows, err := v.Pivot(dims, sels)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	// Pivot validated every index, so naming the columns is now safe.
 	allDims := v.Dims()
@@ -1119,8 +1113,7 @@ func (s *Server) handlePivot(w http.ResponseWriter, r *http.Request) {
 	for i, idx := range dims {
 		names[i] = allDims[idx]
 	}
-	pageRows, truncated := window(rows, offset, limit)
-	s.writeRows(w, req.Cube, names, pageRows, len(rows), offset, limit, truncated)
+	return s.writeRows(w, req.Cube, names, rows, offset, limit, failedParts(partial))
 }
 
 // statsResponse is the /stats envelope.
@@ -1136,30 +1129,24 @@ type statsResponse struct {
 	TotalCells   int      `json:"total_cells"`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 	cube := r.URL.Query().Get("cube")
-	if s.store != nil && cube == s.liveName {
-		s.handleStoreStats(w, r)
-		return
+	if s.isLive(cube) {
+		return s.handleStoreStats(w, r)
 	}
 	v, err := s.view(cube)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	st, err := v.Stats()
 	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if s.reflectJSON {
-		s.legacyStats(w, cube, v, st)
-		return
+		return err
 	}
 	buf := getBuf()
 	*buf = appendStatsResponse((*buf)[:0], cube, v.Dims(), v.NumSourceTuples(),
 		v.Indexed(), v.EncodedBytes(), st)
 	send(w, http.StatusOK, buf)
+	return nil
 }
 
 // tupleSpec is the wire form of one fact tuple.
@@ -1173,45 +1160,39 @@ type ingestRequest struct {
 	Tuples []tupleSpec `json:"tuples"`
 }
 
-// ingestResponse is the /ingest acknowledgement envelope.
+// ingestResponse is the /ingest acknowledgement envelope. TotalTuples is
+// present when the backend counts its tuples (a store; not a cluster).
 type ingestResponse struct {
-	Appended    int `json:"appended"`
-	TotalTuples int `json:"total_tuples"`
+	Appended    int  `json:"appended"`
+	TotalTuples *int `json:"total_tuples,omitempty"`
 }
 
 // handleIngest appends one batch to the live store. When it responds 200
 // the batch is durable (store fsync policy permitting) and visible to every
 // subsequent /query/* against the live cube.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, badRequest("POST a JSON body to /ingest"))
-		return
-	}
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	var req ingestRequest
 	if err := decodeBody(w, r, &req, maxIngestBodyBytes); err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
 	if len(req.Tuples) == 0 {
-		s.fail(w, badRequest("no tuples in batch"))
-		return
+		return badRequest("no tuples in batch")
 	}
 	batch := make([]dwarf.Tuple, len(req.Tuples))
 	for i, t := range req.Tuples {
 		batch[i] = dwarf.Tuple{Dims: t.Dims, Measure: t.Measure}
 	}
 	if err := s.store.Append(batch); err != nil {
-		s.fail(w, err)
-		return
+		return err
 	}
-	total := s.store.TotalTuples()
-	if s.reflectJSON {
-		s.legacyIngest(w, len(batch), total)
-		return
+	total, counted := 0, false
+	if tc, ok := s.store.(tupleCounter); ok {
+		total, counted = tc.TotalTuples(), true
 	}
 	buf := getBuf()
-	*buf = appendIngestResponse((*buf)[:0], len(batch), total)
+	*buf = appendIngestResponse((*buf)[:0], len(batch), total, counted)
 	send(w, http.StatusOK, buf)
+	return nil
 }
 
 // storeStatsResponse is the /store/stats envelope.
@@ -1222,14 +1203,14 @@ type storeStatsResponse struct {
 
 // handleStoreStats reports the live store's shape: segment inventory with
 // compaction levels, live/sealed tuple counts, WAL position and lifetime
-// seal/compaction counters.
-func (s *Server) handleStoreStats(w http.ResponseWriter, r *http.Request) {
-	st := s.store.Stats()
-	if s.reflectJSON {
-		s.legacyStoreStats(w, st)
-		return
+// seal/compaction counters. Backends without store stats (a cluster) 400.
+func (s *Server) handleStoreStats(w http.ResponseWriter, r *http.Request) error {
+	ss, ok := s.store.(storeStatser)
+	if !ok {
+		return badRequest("cube %q has no store stats", s.liveName)
 	}
 	buf := getBuf()
-	*buf = appendStoreStatsResponse((*buf)[:0], s.liveName, st)
+	*buf = appendStoreStatsResponse((*buf)[:0], s.liveName, ss.Stats())
 	send(w, http.StatusOK, buf)
+	return nil
 }
